@@ -25,7 +25,8 @@ print("fitted exponent:  %.3f   (the asymptotic value is 6)" % exponent)
 print("fitted prefactor: %.3f   (the asymptotic value is 2/3 = 0.667)" % prefactor)
 print()
 print("The settle flag demands 1e-8 agreement between successive rule sizes;")
-print("for this kernel the rungs plateau around 2e-8 at these widths, so the")
-print("flag stays off even though the values are stable to ~1e-7.  The fit")
-print("itself is insensitive to that: the subleading terms of the expansion,")
-print("not rung noise, are what bias the slope below 6 on a narrow s-window.")
+print("for this kernel the gap between rungs only halves at each doubling of")
+print("the rule (a bias from the second-order boundary-value solve), so the")
+print("flag stays off.  The fit itself is insensitive to that: the subleading")
+print("terms of the expansion, not rung noise, are what bias the slope below 6")
+print("on a narrow s-window.")

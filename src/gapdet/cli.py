@@ -3,18 +3,16 @@ dumps of the underlying objects.
 
 Output contract: CSV with one header line and 17-significant-digit floats,
 or a JSON mirror of the same fields; identical configurations produce
-byte-identical bytes (no timestamps, no locale formatting, worker count
-does not reorder rows).  Exit codes: 0 all good, 1 a verification row
-failed, 2 bad usage or bad domain, 3 a numerical-integrity fault, 4 I/O.
+byte-identical bytes (no timestamps, no locale formatting).  Exit codes:
+0 all good, 1 a verification row failed, 2 bad usage or bad domain, 3 a
+numerical-integrity fault, 4 I/O.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,7 +91,6 @@ class RunConfig:
     psi_r: Optional[float]
     formula: Optional[str]
     what: Optional[str]
-    threads: int
 
 
 class _UsageError(ValueError):
@@ -176,11 +173,6 @@ def _config(ns) -> RunConfig:
         kernel = _DEFAULT_KERNEL[formula] if formula else "sine"
     if not 0.0 <= ns.t <= 1.0:
         raise _UsageError(f"--t {ns.t} outside [0, 1]")
-    threads = os.environ.get("GAPDET_THREADS", "1")
-    try:
-        threads = max(1, int(threads))
-    except ValueError:
-        raise _UsageError(f"GAPDET_THREADS={threads!r} is not an integer")
     return RunConfig(
         command=ns.command,
         kernel=kernel,
@@ -195,7 +187,6 @@ def _config(ns) -> RunConfig:
         psi_r=ns.psi_r,
         formula=formula,
         what=getattr(ns, "what", None),
-        threads=threads,
     )
 
 
@@ -205,20 +196,13 @@ def _solve_window(cfg: RunConfig):
 
 
 def _spec_for(cfg: RunConfig, sol):
-    """Kernel spec factory; PII gets a fresh field per call so concurrent
-    rows never share mutable cache state."""
+    """Kernel spec factory; PII gets a fresh field per call so no row's
+    value depends on the column cache left by the rows before it."""
     if cfg.kernel == "sine":
         return Sine(x=cfg.x)
     if cfg.kernel == "csin":
         return CubicSine(t=cfg.t, x=cfg.x)
     return PII(x=cfg.x, field=PsiField(x=cfg.x, hm=sol))
-
-
-def _map_rows(cfg: RunConfig, fn, items):
-    if cfg.threads == 1:
-        return [fn(v) for v in items]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _norm(v):
@@ -247,7 +231,7 @@ def cmd_det(cfg: RunConfig) -> tuple:
         ev = log_det(spec, s, cfg.n) if cfg.n is not None else log_det_converged(spec, s)
         return (s, ev.n, float(ev.log_det), ev.converged, float(ev.pivot_min))
 
-    rows = _map_rows(cfg, row, cfg.s_list)
+    rows = [row(s) for s in cfg.s_list]
     return _render(cfg, ("s", "n", "log_det", "converged", "pivot_min"), rows), True
 
 
@@ -287,9 +271,7 @@ def cmd_verify(cfg: RunConfig) -> tuple:
     sol = _solve_window(cfg) if needs_sol else None
 
     if cfg.formula == "fcet":
-        samples = _map_rows(
-            cfg, lambda s: (s, _det_value(cfg, _spec_for(cfg, sol), s)), cfg.s_list
-        )
+        samples = [(s, _det_value(cfg, _spec_for(cfg, sol), s)) for s in cfg.s_list]
         exponent, _ = fcet_fit(samples)
         if cfg.tol is not None:
             ok = abs(exponent - 6.0) <= cfg.tol
@@ -297,9 +279,9 @@ def cmd_verify(cfg: RunConfig) -> tuple:
             ok = _FCET_BAND[0] <= exponent <= _FCET_BAND[1]
         rows = [(max(cfg.s_list), exponent, 6.0, abs(exponent - 6.0), ok)]
     else:
-        pairs = _map_rows(cfg, lambda s: _verify_pair(cfg, sol, s), cfg.s_list)
         rows = []
-        for s, (computed, predicted) in zip(cfg.s_list, pairs):
+        for s in cfg.s_list:
+            computed, predicted = _verify_pair(cfg, sol, s)
             err = abs(computed - predicted)
             rows.append((s, computed, predicted, err, err <= _default_tol(cfg, s)))
 

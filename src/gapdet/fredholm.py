@@ -8,13 +8,6 @@ itself is only good to ~1e-9 anyway) and eliminated in double-double,
 because the determinant collapses through ~55 orders of magnitude near the
 top of the supported s range and the pivots, not the entries, are where the
 cancellation lives.
-
-Precision budget: double-double carries ~31 digits, so log-determinants
-down to about -71 are representable with headroom, but elimination noise
-makes values beyond s ~ 2.1 on the cubic-phase kernels (log det ~ -90 at s
-= 2.4) progressively less trustworthy.  Rather than guessing, evaluations
-with s > 2.1 whose smallest pivot falls to 1e-28 or below are flagged
-converged = False.
 """
 
 from __future__ import annotations
@@ -40,8 +33,6 @@ __all__ = [
 _N_MIN, _N_MAX = 8, 400
 _LADDER_START = 32
 _LADDER_TOL = 1e-8
-_PIVOT_FLOOR = 1e-28
-_S_TRUST = 2.1
 
 
 class DetIntegrityError(RuntimeError):
@@ -109,8 +100,7 @@ def log_det_converged(spec: KernelSpec, s: float) -> DetEvaluation:
     """Doubles n from 32 until successive values agree within 1e-8.
 
     Stops at n = 256 (the next doubling exceeds the order cap) and reports
-    converged = False when agreement was not reached, or when s sits in the
-    low-trust band (> 2.1) with a collapsed pivot.
+    converged = False when agreement was not reached.
     """
     ev = log_det(spec, s, _LADDER_START)
     if s == 0.0:
@@ -125,8 +115,6 @@ def log_det_converged(spec: KernelSpec, s: float) -> DetEvaluation:
         if delta <= _LADDER_TOL:
             converged = True
             break
-    if s > _S_TRUST and float(ev.pivot_min) <= _PIVOT_FLOOR:
-        converged = False
     return replace(ev, converged=converged)
 
 

@@ -324,10 +324,11 @@ class ExtendedReal:
 
     def __str__(self) -> str:
         # decimal rendering of the full 31-digit value, handy in test output
-        from decimal import Decimal, getcontext
+        from decimal import Decimal, localcontext
 
-        getcontext().prec = 40
-        return str((Decimal(self.hi) + Decimal(self.lo)).normalize())
+        with localcontext() as ctx:
+            ctx.prec = 40
+            return str((Decimal(self.hi) + Decimal(self.lo)).normalize())
 
 
 # ---------------------------------------------------------------------------
@@ -488,38 +489,20 @@ class LogDetResult:
     pivot_min: ExtendedReal
 
 
-def _as_dd_arrays(matrix):
-    """Accept (hi, lo) pairs, float arrays, or object arrays of ExtendedReal."""
-    if isinstance(matrix, tuple) and len(matrix) == 2:
-        hi = np.array(matrix[0], dtype=float, copy=True)
-        lo = np.array(matrix[1], dtype=float, copy=True)
-        return hi, lo
-    arr = np.asarray(matrix)
-    if arr.dtype == object:
-        hi = np.empty(arr.shape)
-        lo = np.empty(arr.shape)
-        flat_in = arr.ravel()
-        fh, fl = hi.ravel(), lo.ravel()
-        for i, v in enumerate(flat_in):
-            e = v if isinstance(v, ExtendedReal) else ExtendedReal(float(v))
-            fh[i] = e.hi
-            fl[i] = e.lo
-        return hi, lo
-    return arr.astype(float, copy=True), np.zeros(arr.shape)
-
-
 def log_det_lu(matrix) -> LogDetResult:
-    """log |det| and sign by LU with partial pivoting in double-double.
+    """log |det| and sign of a square float matrix by LU with partial
+    pivoting in double-double.
 
-    ``matrix`` may be a square float array, an object array of ExtendedReal,
-    or a (hi, lo) pair of float arrays.  Pivots are ranked by their hi
-    component, which equals value order for normalized pairs.
+    The entries are binary64; every update is carried as a (hi, lo) pair.
+    Pivots are ranked by their hi component, which equals value order for
+    normalized pairs.
     """
-    ah, al = _as_dd_arrays(matrix)
+    ah = np.array(matrix, dtype=float)
     if ah.ndim != 2 or ah.shape[0] != ah.shape[1]:
         raise ValueError("matrix must be square")
-    if not (np.all(np.isfinite(ah)) and np.all(np.isfinite(al))):
+    if not np.all(np.isfinite(ah)):
         raise ValueError("matrix entries must be finite")
+    al = np.zeros(ah.shape)
     n = ah.shape[0]
 
     sign = 1

@@ -100,12 +100,6 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("GAPDET_THREADS", "abc")
-    assert main(["det", "--kernel", "sine", "--s", "1.0"]) == EXIT_USAGE
-    capsys.readouterr()
-
-
 def test_output_file_matches_stdout(tmp_path, capsys):
     argv = ["det", "--kernel", "sine", "--x", "1.0", "--s", "0.5,1.0"]
     code, out = run(capsys, argv)
@@ -124,15 +118,12 @@ def test_unwritable_output_path(capsys):
     assert code == EXIT_IO
 
 
-def test_byte_determinism_across_runs_and_threads(capsys, monkeypatch):
+def test_byte_determinism_across_runs(capsys):
     argv = ["verify", "--formula", "theorem2", "--kernel", "csin",
             "--x", "1.0", "--s", "1.6,1.8"]
     _, first = run(capsys, argv)
     _, second = run(capsys, argv)
     assert first == second
-    monkeypatch.setenv("GAPDET_THREADS", "3")
-    _, threaded = run(capsys, argv)
-    assert threaded == first
 
 
 def test_dump_solution_table(capsys):

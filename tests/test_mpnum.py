@@ -1,5 +1,6 @@
 """Double-double arithmetic, quadrature rules, and the pivoted LU determinant."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -108,6 +109,14 @@ def test_from_string_captures_sub_ulp_part():
     x = ExtendedReal.from_string("0.1")
     assert x.hi == 0.1
     assert abs(_mp(x) - mpmath.mpf("0.1")) < 1e-32
+
+
+def test_str_renders_40_digits_without_touching_the_decimal_context():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28
+        text = str(ExtendedReal.from_string("0.1"))
+        assert decimal.getcontext().prec == 28
+    assert text == "0.09999999999999999999999999999999969185121"
 
 
 # --- Gauss-Legendre rules ---------------------------------------------------
@@ -242,6 +251,9 @@ def test_log_det_rejects_bad_input():
         log_det_lu(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         log_det_lu(np.ones((2, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            log_det_lu(np.array([[1.0, 0.0], [bad, 1.0]]))
 
 
 def test_newton_error_type_exists():

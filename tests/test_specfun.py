@@ -93,13 +93,15 @@ def test_airy_array_matches_scalar_bitwise():
 
 
 def test_airy_domain_is_enforced():
-    for bad in (-10.0001, 40.0001, -50.0, 1e3):
+    for bad in (-10.0001, 40.0001, -50.0, 1e3, float("nan")):
         with pytest.raises(ValueError):
             airy_ai(bad)
         with pytest.raises(ValueError):
             airy_ai_prime(bad)
     with pytest.raises(ValueError):
         airy_ai(np.array([0.0, 41.0]))
+    with pytest.raises(ValueError):
+        airy_ai(np.array([0.0, np.nan]))
 
 
 def test_airy_scalar_returns_python_float():
