@@ -149,9 +149,9 @@ def kernel_diag(spec: KernelSpec, lam: float) -> float:
 def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
     """K sampled on points x points, vectorized, exactly symmetric.
 
-    The column-based variant fills the whole batch of columns in one
-    transported march, which is what keeps an n = 256 assembly around a
-    second instead of minutes.
+    The column-based variant reads its columns through ``psi_columns``,
+    which marches the uncached ones in one batch; inside a ladder every
+    rung's nodes are already cached.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)

@@ -100,12 +100,15 @@ class PsiField:
                 f"[{self.hm.x_left}, {self.hm.x_right}]"
             )
 
-    def _u(self, x: float) -> float:
+    def _u(self, xs: np.ndarray) -> np.ndarray:
+        """u at many abscissae: the spline in the solved window, Ai beyond."""
         if self.hm is None:
-            return 0.0
-        if x > self.hm.x_right:
-            return airy_ai(min(x, 40.0))
-        return float(self.hm._u_spline(x))
+            return np.zeros_like(xs)
+        u = self.hm._u_spline(xs)
+        far = xs > self.hm.x_right
+        if far.any():
+            u = np.where(far, airy_ai(np.minimum(xs, 40.0)), u)
+        return u
 
     def _u_ux_v_here(self):
         if self.hm is None:
@@ -117,22 +120,25 @@ class PsiField:
 # embedded Runge-Kutta 4(5), Dormand-Prince coefficients
 # ---------------------------------------------------------------------------
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+# stage abscissae 2-6 (the seventh sits at 1, like the sixth) and weights
+_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B51, _B53, _B54, _B55, _B56 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_B41, _B43, _B44, _B45, _B46, _B47 = 5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
 
 
-def _integrate(rhs, t0: float, t1: float, y0: np.ndarray, tol: float) -> np.ndarray:
+def _integrate(rhs, t0: float, t1: float, y0: np.ndarray, tol: float,
+               coef=lambda ts: ts) -> np.ndarray:
     """Adaptive RK4(5) from t0 to t1 for complex array state.
+
+    The right-hand side is called as rhs(coef(t), y); ``coef`` maps all of
+    a step's stage abscissae in one call (the default passes t itself).
+    The seventh stage is evaluated at (t + h, y5), so an accepted step hands
+    it on as the next step's first ("first same as last").
 
     The error measure is max over all state components relative to
     1 + max|y|, so a batch shares one step sequence.  Raises StiffnessError
@@ -146,21 +152,26 @@ def _integrate(rhs, t0: float, t1: float, y0: np.ndarray, tol: float) -> np.ndar
     direction = 1.0 if span > 0 else -1.0
     h = span / 64.0
     h_min = 1e-12 * (1.0 + abs(span))
+    k1 = rhs(coef(np.array([t]))[0], y)
 
     while (t1 - t) * direction > 0.0:
         h_step = h
         if (t + h_step - t1) * direction > 0.0:
             h_step = t1 - t
-        k = [rhs(t, y)]
-        for i in range(1, 7):
-            yi = y + h_step * sum(a * kk for a, kk in zip(_A[i], k))
-            k.append(rhs(t + _C[i] * h_step, yi))
-        y5 = y + h_step * sum(b * kk for b, kk in zip(_B5, k) if b != 0.0)
-        y4 = y + h_step * sum(b * kk for b, kk in zip(_B4, k) if b != 0.0)
+        c = coef(t + _C * h_step)
+        k2 = rhs(c[0], y + h_step * (_A21 * k1))
+        k3 = rhs(c[1], y + h_step * (_A31 * k1 + _A32 * k2))
+        k4 = rhs(c[2], y + h_step * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = rhs(c[3], y + h_step * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        k6 = rhs(c[4], y + h_step * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+        y5 = y + h_step * (_B51 * k1 + _B53 * k3 + _B54 * k4 + _B55 * k5 + _B56 * k6)
+        k7 = rhs(c[4], y5)
+        y4 = y + h_step * (_B41 * k1 + _B43 * k3 + _B44 * k4 + _B45 * k5 + _B46 * k6 + _B47 * k7)
         err = float(np.max(np.abs(y5 - y4))) / (1.0 + float(np.max(np.abs(y5))))
         if err <= tol:
             t = t + h_step
             y = y5
+            k1 = k7
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
         else:
             factor = max(0.2, 0.9 * (tol / err) ** 0.2)
@@ -200,26 +211,35 @@ def _march(field_: PsiField, lams: np.ndarray, want_matrix: bool) -> np.ndarray:
         y0 = np.stack([e_minus, -1j * e_plus], axis=1)
 
     lam_col = lams[:, None] if want_matrix else lams
+    down, up = -1j * lam_col, 1j * lam_col
 
-    def rhs(x, y):
-        u = field_._u(x)
-        row1 = -1j * lam_col * y[:, 0] + 1j * u * y[:, 1]
-        row2 = -1j * u * y[:, 0] + 1j * lam_col * y[:, 1]
-        return np.stack([row1, row2], axis=1)
+    def rhs(u, y):
+        k = np.empty_like(y)
+        k[:, 0] = down * y[:, 0] + 1j * u * y[:, 1]
+        k[:, 1] = -1j * u * y[:, 0] + up * y[:, 1]
+        return k
 
-    return _integrate(rhs, field_.x_start, field_.x, y0, field_.tol)
+    return _integrate(rhs, field_.x_start, field_.x, y0, field_.tol, field_._u)
+
+
+def _check_lams(lams) -> np.ndarray:
+    """lams as a float array; ValueError unless every |lambda| <= 4 (NaN fails)."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if not np.all(np.abs(lams) <= 4.0):
+        raise ValueError(f"lambda = {lams[~(np.abs(lams) <= 4.0)][0]} outside [-4, 4]")
+    return lams
 
 
 def psi_columns(field_: PsiField, lams) -> list:
     """Columns at many lambdas, marched together and cached.
 
-    One adaptive step sequence serves the whole batch, which is what makes
-    a 256-node kernel assembly affordable.
+    One adaptive step sequence serves the whole batch: its step count is set
+    by the largest |lambda| and the tolerance, not by the batch size.  So
+    ``log_det_converged`` marches every rung's nodes of a PII ladder in one
+    call up front, and each rung's ``kernel_matrix`` reads them from the
+    cache.
     """
-    lams = [float(v) for v in np.atleast_1d(np.asarray(lams, dtype=float))]
-    for lam in lams:
-        if abs(lam) > 4.0:
-            raise ValueError(f"|lambda| = {abs(lam)} exceeds 4")
+    lams = [float(v) for v in _check_lams(lams)]
     missing = [lam for lam in lams if lam not in field_.cache]
     if missing:
         ys = _march(field_, np.array(missing), want_matrix=False)
@@ -262,8 +282,7 @@ def psi_det(field_: PsiField, lam: float) -> complex:
     The seed has unit determinant and the x-equation is trace free, so any
     deviation from 1 measures transport error.
     """
-    if abs(lam) > 4.0:
-        raise ValueError(f"|lambda| = {abs(lam)} exceeds 4")
+    _check_lams(lam)
     y = _march(field_, np.array([lam]), want_matrix=True)[0]
     return complex(y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0])
 
@@ -301,8 +320,7 @@ def psi_column_ray(field_: PsiField, lam: float, R: float = 8.0,
     over a leg of length ~R where the phase turns at rate 8 lambda^2; the
     two-path agreement degrades roughly linearly in tol.
     """
-    if abs(lam) > 4.0:
-        raise ValueError(f"|lambda| = {abs(lam)} exceeds 4")
+    _check_lams(lam)
     if path not in ("dogleg", "direct"):
         raise ValueError(f"unknown path {path!r}")
     u, ux, v = field_._u_ux_v_here()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gapdet.psi
 from gapdet import (
     CubicSine,
     DetEvaluation,
@@ -96,6 +97,28 @@ def test_zero_t_determinants_match_sine_bitwise():
         b = log_det(Sine(x=1.0), s, n)
         assert a.log_det.hi == b.log_det.hi and a.log_det.lo == b.log_det.lo
         assert a.pivot_min.hi == b.pivot_min.hi
+
+
+def test_pii_ladder_marches_once(hm, monkeypatch):
+    # Every rung's nodes go into one batched march before the first rung;
+    # the rungs then read their columns from the cache.
+    marches = []
+    march = gapdet.psi._march
+
+    def counting(field_, lams, want_matrix):
+        marches.append(len(lams))
+        return march(field_, lams, want_matrix)
+
+    monkeypatch.setattr(gapdet.psi, "_march", counting)
+    f = PsiField(x=0.0, hm=hm)
+    log_det_converged(PII(x=0.0, field=f), 1.0)
+    assert marches == [32 + 64 + 128 + 256]
+    assert len(f.cache) == 480
+    # s is checked before anything is marched
+    marches.clear()
+    with pytest.raises(ValueError):
+        log_det_converged(PII(x=0.0, field=PsiField(x=0.0, hm=hm)), 2.5)
+    assert marches == []
 
 
 def test_trust_band_edge_still_converges_for_trig():

@@ -145,6 +145,17 @@ def test_spectral_argument_range(field0):
         psi_columns(field0, np.array([0.0, -4.2]))
     psi_column(field0, 4.0)
     psi_column(field0, -4.0)
+    # NaN compares False with everything, so it must fail the range check
+    # rather than reach the march
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        psi_column(field0, nan)
+    with pytest.raises(ValueError):
+        psi_columns(field0, np.array([0.0, nan]))
+    with pytest.raises(ValueError):
+        psi_det(field0, nan)
+    with pytest.raises(ValueError):
+        psi_column_ray(field0, nan)
 
 
 def test_field_window_validation(hm):
@@ -165,3 +176,20 @@ def test_collapsing_steps_raise_with_position():
     with pytest.raises(StiffnessError) as exc:
         _integrate(lambda t, y: y * y, 0.0, 2.0, np.array([1.0 + 0j]), 1e-10)
     assert 0.9 <= exc.value.position <= 1.1
+
+
+def test_last_stage_is_reused_as_the_next_first():
+    # The seventh Dormand-Prince stage sits at (t + h, y5), which is where
+    # the next step starts, so no point may be evaluated twice in a row;
+    # each step after the first evaluation then costs six calls.
+    calls = []
+
+    def rhs(t, y):
+        calls.append((float(t), y.copy()))
+        return 1j * y
+
+    y = _integrate(rhs, 0.0, 10.0, np.array([1.0 + 0j]), 1e-12)
+    assert abs(y[0] - np.exp(10j)) <= 1e-9
+    assert (len(calls) - 1) % 6 == 0
+    for (ta, ya), (tb, yb) in zip(calls, calls[1:]):
+        assert not (ta == tb and np.array_equal(ya, yb))
