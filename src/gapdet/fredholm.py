@@ -93,7 +93,7 @@ def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
     sq = np.sqrt(wi)
     m = np.eye(n) - (sq[:, None] * sq[None, :]) * kernel_matrix(spec, xi)
     res = log_det_lu(m)
-    if res.sign != 1 or float(res.log_abs_det) > 0.0:
+    if res.sign != 1 or not float(res.log_abs_det) <= 0.0:
         raise DetIntegrityError(
             f"det(I - K) outside (0, 1]: sign {res.sign}, "
             f"log|det| {float(res.log_abs_det):.6g} at s = {s}, n = {n}"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gapdet.fredholm
 import gapdet.psi
 from gapdet import (
     CubicSine,
@@ -21,6 +22,7 @@ from gapdet import (
     log_det,
     log_det_converged,
 )
+from gapdet.mpnum import ExtendedReal, LogDetResult
 
 
 def test_empty_interval_is_exact():
@@ -192,3 +194,12 @@ def test_argument_validation(hm):
         log_det(PII(x=0.0, field=f), 2.5, 32)
     # zero-t follows the wide trig cap
     log_det(CubicSine(t=0.0, x=1.0), 7.0, 32)
+
+
+def test_nan_log_det_fails_the_integrity_check(monkeypatch):
+    nan = ExtendedReal(float("nan"))
+    monkeypatch.setattr(
+        gapdet.fredholm, "log_det_lu", lambda m: LogDetResult(nan, 1, ExtendedReal(1.0))
+    )
+    with pytest.raises(DetIntegrityError):
+        log_det(Sine(x=1.0), 1.0, 32)

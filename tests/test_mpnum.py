@@ -9,6 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import gapdet.mpnum
+from gapdet.kernels import Sine, kernel_matrix
 from gapdet.mpnum import (
     ExtendedReal,
     NewtonConvergenceError,
@@ -94,6 +96,16 @@ def test_extended_real_exp_log_against_mpmath():
         assert abs(_mp(x.log()) - mpmath.log(_mp(x))) < 1e-28
         # round trip
         assert abs(float(x.log().exp() - x)) < 1e-28 * v
+
+
+def test_exp_and_log_reach_the_ends_of_their_domain():
+    # exp(700) scales by 2**1010, which a Dekker split of 2**k cannot take
+    hi, lo = dd_exp(700.0, 0.0)
+    want = mpmath.exp(700)
+    assert abs(mpmath.mpf(float(hi)) + mpmath.mpf(float(lo)) - want) < 1e-28 * want
+    assert abs(_mp(ExtendedReal(700.0).exp()) - want) < 1e-28 * want
+    x = ExtendedReal(1e-300)
+    assert abs(_mp(x.log()) - mpmath.log(_mp(x))) < 1e-28
 
 
 def test_exp_log_pair_functions_match_methods():
@@ -254,6 +266,63 @@ def test_log_det_rejects_bad_input():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             log_det_lu(np.array([[1.0, 0.0], [bad, 1.0]]))
+    with pytest.raises(ValueError):
+        log_det_lu(np.zeros((0, 0)))
+    # a pivot below the domain of dd_log must not come back as a NaN log
+    with pytest.raises(ValueError):
+        log_det_lu(np.diag([1e-305, 1.0]))
+
+
+def test_log_det_takes_every_pivot_log_in_one_call(monkeypatch):
+    rule = gauss_legendre(64)
+    sq = np.sqrt(6.0 * rule.weights_f8)
+    k = kernel_matrix(Sine(x=1.0), 6.0 * rule.nodes_f8)
+    m = np.eye(64) - (sq[:, None] * sq[None, :]) * k
+    sizes = []
+
+    def counting(ah, al):
+        sizes.append(np.size(ah))
+        return dd_log(ah, al)
+
+    monkeypatch.setattr(gapdet.mpnum, "dd_log", counting)
+    res = log_det_lu(m)
+    assert sizes == [64]
+    assert res.sign == 1 and float(res.log_abs_det) < 0.0
+
+
+def test_log_det_with_swaps_and_negative_pivots_against_exact():
+    a = np.random.default_rng(23).standard_normal((10, 10))
+    res = log_det_lu(a)
+    assert abs(_mp(res.log_abs_det) - _exact_logdet_oracle(a)) < 1e-24
+    assert res.sign == int(np.linalg.slogdet(a)[0])
+
+
+def test_log_det_matches_the_per_pivot_scalar_sum_bitwise():
+    # upper triangular: the pivots are the diagonal, in order
+    rng = np.random.default_rng(29)
+    d = rng.uniform(0.1, 3.0, 16) * rng.choice([-1.0, 1.0], 16)
+    a = np.triu(rng.standard_normal((16, 16)), 1) + np.diag(d)
+    acc = (0.0, 0.0)
+    for v in np.abs(d):
+        acc = dd_add(*acc, *dd_log(v, 0.0))
+    res = log_det_lu(a)
+    assert (res.log_abs_det.hi, res.log_abs_det.lo) == tuple(map(float, acc))
+    assert res.sign == int(np.prod(np.sign(d)))
+    assert res.pivot_min == ExtendedReal(float(np.min(np.abs(d))))
+    hi, lo = dd_log(np.abs(d), np.zeros(16))
+    assert [(float(h), float(l)) for h, l in zip(hi, lo)] == [
+        tuple(map(float, dd_log(v, 0.0))) for v in np.abs(d)
+    ]
+
+
+def test_log_det_sign_of_diagonal_matrices():
+    res = log_det_lu(np.diag([2.0, -3.0, 0.5]))
+    assert res.sign == -1
+    assert abs(_mp(res.log_abs_det) - mpmath.log(3)) < 1e-28
+    assert float(res.pivot_min) == 0.5
+    res = log_det_lu(np.diag([-2.0, 3.0, -0.5]))
+    assert res.sign == 1
+    assert abs(_mp(res.log_abs_det) - mpmath.log(3)) < 1e-28
 
 
 def test_newton_error_type_exists():
