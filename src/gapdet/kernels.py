@@ -2,7 +2,9 @@
 interface: the sine kernel, its cubic-phase generalization, and the kernel
 built from the Hastings-McLeod column.
 
-Evaluation conventions that matter numerically:
+Every value is computed by ``kernel_matrix``; ``kernel_eval`` and
+``kernel_diag`` read one entry of it.  Evaluation conventions that matter
+numerically:
 
 * The trig kernels share one code path.  The phase is factored as
   (lambda - mu) * ((4/3) t (lambda^2 + mu^2 + lambda mu) + x), which kills
@@ -15,14 +17,15 @@ Evaluation conventions that matter numerically:
 * Within |lambda - mu| < 1e-6 every variant switches to the diagonal
   formula at the midpoint: the direct quotients lose about six digits
   there while the kernels vary on scale 1, so the midpoint value is
-  accurate to ~1e-12, far inside the 1e-9 continuity budget.
+  accurate to ~1e-12, far inside the 1e-9 continuity budget.  The
+  column-based kernel marches all such midpoints in one batch.
 
 * The column-based kernel is assembled from exactly antisymmetric
   numerator and denominator arrays, so the value matrix is exactly
   symmetric; its imaginary part must vanish identically (the transport
   preserves conj(psi21) = i psi11 to the last bit) and anything above
-  1e-7 raises KernelIntegrityError, flagging a transport fault rather
-  than being silently dropped.
+  1e-7, off or on the diagonal, raises KernelIntegrityError, flagging a
+  transport fault rather than being silently dropped.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .psi import PsiField, psi_column, psi_column_derivative, psi_columns
+from .psi import PsiField, _lambda_derivative, psi_columns
 
 __all__ = [
     "CubicSine",
@@ -96,54 +99,33 @@ KernelSpec = Union[Sine, CubicSine, PII]
 _TWO_PI = 2.0 * math.pi
 
 
-def _trig_t(spec) -> float:
-    return spec.t if isinstance(spec, CubicSine) else 0.0
-
-
-def _trig_diag(t: float, x: float, lam: float) -> float:
-    return (4.0 * t * lam * lam + x) / math.pi
-
-
-def _trig_eval(t: float, x: float, lam: float, mu: float) -> float:
-    d = lam - mu
-    if abs(d) < _TAYLOR_RADIUS:
-        return _trig_diag(t, x, 0.5 * (lam + mu))
-    ad = abs(d)
-    g = (4.0 / 3.0) * t * ((lam * lam + mu * mu) + lam * mu) + x
-    return math.sin(ad * g) / (math.pi * ad)
-
-
-def _pii_value(num: complex, den: float) -> float:
-    val = num / den
-    if abs(val.imag) > _IMAG_TOL:
+def _real(vals: np.ndarray, where: str) -> np.ndarray:
+    """Real part of column-based kernel values, after the integrity check."""
+    worst = float(np.max(np.abs(vals.imag), initial=0.0))
+    if worst > _IMAG_TOL:
         raise KernelIntegrityError(
-            f"kernel value has imaginary part {val.imag:.3e} (limit {_IMAG_TOL})"
+            f"kernel {where} has imaginary part {worst:.3e} (limit {_IMAG_TOL})"
         )
-    return val.real
+    return vals.real
 
 
-def _pii_diag(spec: PII, lam: float) -> float:
-    col = psi_column(spec.field, lam)
-    d1, d2 = psi_column_derivative(spec.field, lam)
-    return _pii_value(d2 * col.psi11 - d1 * col.psi21, _TWO_PI)
+def _columns_and_diagonal(field: PsiField, lams: np.ndarray):
+    """psi11, psi21 at lams, and K(lambda, lambda) there from the lambda-equation."""
+    cols = psi_columns(field, lams)
+    a = np.array([c.psi11 for c in cols])
+    b = np.array([c.psi21 for c in cols])
+    d1, d2 = _lambda_derivative(field, lams, a, b)
+    return a, b, (d2 * a - d1 * b) / _TWO_PI
 
 
 def kernel_eval(spec: KernelSpec, lam: float, mu: float) -> float:
-    """K(lambda, mu) for any variant, with the near-diagonal handled."""
-    if isinstance(spec, PII):
-        if abs(lam - mu) < _TAYLOR_RADIUS:
-            return _pii_diag(spec, 0.5 * (lam + mu))
-        ca, cb = psi_columns(spec.field, [lam, mu])
-        num = ca.psi21 * cb.psi11 - cb.psi21 * ca.psi11
-        return _pii_value(num, _TWO_PI * (lam - mu))
-    return _trig_eval(_trig_t(spec), spec.x, lam, mu)
+    """K(lambda, mu) for any variant: the off-diagonal entry of ``kernel_matrix``."""
+    return float(kernel_matrix(spec, [lam, mu])[0, 1])
 
 
 def kernel_diag(spec: KernelSpec, lam: float) -> float:
-    """K(lambda, lambda), from the closed form or the spectral derivative."""
-    if isinstance(spec, PII):
-        return _pii_diag(spec, lam)
-    return _trig_diag(_trig_t(spec), spec.x, lam)
+    """K(lambda, lambda): the one entry of ``kernel_matrix`` on [lambda]."""
+    return float(kernel_matrix(spec, [lam])[0, 0])
 
 
 def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
@@ -151,7 +133,9 @@ def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
 
     The column-based variant reads its columns through ``psi_columns``,
     which marches the uncached ones in one batch; inside a ladder every
-    rung's nodes are already cached.
+    rung's nodes are already cached.  Off-diagonal pairs closer than the
+    switch radius take the diagonal value at their midpoint, and all those
+    midpoints are marched in a second batch.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -160,39 +144,22 @@ def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
     mid = 0.5 * (pts[:, None] + pts[None, :])
 
     if isinstance(spec, PII):
-        cols = psi_columns(spec.field, pts)
-        a = np.array([c.psi11 for c in cols])
-        b = np.array([c.psi21 for c in cols])
+        a, b, diag = _columns_and_diagonal(spec.field, pts)
         num = b[:, None] * a[None, :] - b[None, :] * a[:, None]
-        den = _TWO_PI * d
         with np.errstate(divide="ignore", invalid="ignore"):
-            k = num / den
-        worst = float(np.max(np.abs(k.imag[~near]), initial=0.0))
-        if worst > _IMAG_TOL:
-            raise KernelIntegrityError(
-                f"kernel matrix has imaginary part {worst:.3e} (limit {_IMAG_TOL})"
-            )
+            k = num / (_TWO_PI * d)
+        _real(k[~near], "matrix")
         out = np.where(near, 0.0, k.real)
-        u, ux, _ = spec.field._u_ux_v_here()
-        x = spec.field.x
-        a11 = -1j * (4.0 * pts ** 2 + x + 2.0 * u * u)
-        a12 = 4j * pts * u - 2.0 * ux
-        a21 = -4j * pts * u - 2.0 * ux
-        d1 = a11 * a + a12 * b
-        d2 = a21 * a - a11 * b
-        diag = (d2 * a - d1 * b) / _TWO_PI
-        worst = float(np.max(np.abs(diag.imag)))
-        if worst > _IMAG_TOL:
-            raise KernelIntegrityError(
-                f"kernel diagonal has imaginary part {worst:.3e} (limit {_IMAG_TOL})"
-            )
-        np.fill_diagonal(out, diag.real)
         stray = near & ~np.eye(n, dtype=bool)
-        for i, j in zip(*np.nonzero(stray)):
-            out[i, j] = _pii_diag(spec, float(mid[i, j]))
+        if stray.any():
+            mids, inv = np.unique(mid[stray], return_inverse=True)
+            diag = np.concatenate([diag, _columns_and_diagonal(spec.field, mids)[2][inv]])
+        diag = _real(diag, "diagonal")
+        np.fill_diagonal(out, diag[:n])
+        out[stray] = diag[n:]
         return out
 
-    t = _trig_t(spec)
+    t = spec.t if isinstance(spec, CubicSine) else 0.0
     x = spec.x
     g = (4.0 / 3.0) * t * ((pts ** 2)[:, None] + (pts ** 2)[None, :] + pts[:, None] * pts[None, :]) + x
     ad = np.abs(d)

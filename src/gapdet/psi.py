@@ -83,8 +83,11 @@ class PsiField:
 
     ``hm`` may be None, in which case the potential u is identically zero (a
     hook the tests use, since the system is then diagonal and solvable on
-    paper).  Cache keys are exact binary64 lambdas; concurrent writers at
-    worst recompute identical values, so last-write-wins is safe.
+    paper).  Cache keys are exact binary64 lambdas.  A cached column is
+    whatever the batch that first marched it produced: the batch shares one
+    step sequence, so the same lambda marched in another batch can differ
+    in the last digits.  A fresh field given the same requests reproduces
+    every value bit for bit, which is why the CLI gives each row its own.
     """
 
     x: float
@@ -260,20 +263,34 @@ def psi_column(field_: PsiField, lam: float) -> PhaseExtractedColumn:
     return psi_columns(field_, [lam])[0]
 
 
-def psi_column_derivative(field_: PsiField, lam: float):
-    """d psi / d lambda of the first column, read off the spectral equation.
+def _lambda_derivative(field_: PsiField, lam, p1, p2):
+    """d psi / d lambda of the column (p1, p2) at lam, from the lambda-equation.
 
-    The coefficient matrix of the lambda-equation is evaluated with the
-    cached column, so this costs one cache lookup after the first call.
+    Works elementwise on arrays; the caller supplies the column values.
     """
-    col = psi_column(field_, lam)
     u, ux, _ = field_._u_ux_v_here()
     x = field_.x
     a11 = -1j * (4.0 * lam ** 2 + x + 2.0 * u * u)
     a12 = 4j * lam * u - 2.0 * ux
     a21 = -4j * lam * u - 2.0 * ux
-    p1, p2 = col.psi11, col.psi21
     return a11 * p1 + a12 * p2, a21 * p1 - a11 * p2
+
+
+def psi_column_derivative(field_: PsiField, lam):
+    """d psi / d lambda of the first column, read off the spectral equation.
+
+    ``lam`` is one lambda or a 1-D array of them; the pair (d psi11,
+    d psi21) comes back as complex scalars or as arrays of that length.
+    The columns come through ``psi_columns``, so this costs one cache lookup
+    after the first call.
+    """
+    if np.ndim(lam) == 0:
+        col = psi_column(field_, lam)
+        return _lambda_derivative(field_, lam, col.psi11, col.psi21)
+    cols = psi_columns(field_, lam)
+    return _lambda_derivative(field_, np.asarray(lam, dtype=float),
+                              np.array([c.psi11 for c in cols]),
+                              np.array([c.psi21 for c in cols]))
 
 
 def psi_det(field_: PsiField, lam: float) -> complex:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gapdet.psi
 from gapdet import (
     CubicSine,
     KernelIntegrityError,
@@ -12,6 +13,7 @@ from gapdet import (
     PhaseExtractedColumn,
     PsiField,
     Sine,
+    gauss_legendre,
     kernel_diag,
     kernel_eval,
     kernel_matrix,
@@ -78,13 +80,19 @@ def test_diagonal_limit_matches_nearby_evaluation():
 
 
 def test_matrix_equals_scalar_grid_for_trig():
-    spec = CubicSine(t=1.0, x=1.0)
+    # Oracle: the closed form, written out here with the naive cubic phase.
+    t, x = 1.0, 1.0
+    spec = CubicSine(t=t, x=x)
     xs = np.linspace(-1.0, 1.0, 9)
     k = kernel_matrix(spec, xs)
     for i, a in enumerate(xs):
         for j, b in enumerate(xs):
-            want = kernel_diag(spec, float(a)) if i == j else kernel_eval(spec, float(a), float(b))
-            assert k[i, j] == want
+            if i == j:
+                want = (4.0 * t * a * a + x) / math.pi
+            else:
+                phase = (4.0 / 3.0) * t * (a**3 - b**3) + x * (a - b)
+                want = math.sin(phase) / (math.pi * (a - b))
+            assert abs(k[i, j] - want) <= 1e-14
 
 
 # --- the rank-structured kernel ----------------------------------------------
@@ -98,12 +106,50 @@ def test_rank_structured_matrix_is_real_and_symmetric(pii1):
 
 
 def test_rank_structured_matrix_matches_scalar_evaluation(pii1):
+    # Oracles: the defining quotient of the columns off the diagonal, and
+    # centered differences of the columns on it.
     xs = np.array([-1.0, -0.2, 0.6, 1.3])
+    h = 1e-4
     k = kernel_matrix(pii1, xs)
     for i, a in enumerate(xs):
+        ca = psi_column(pii1.field, float(a))
         for j, b in enumerate(xs):
-            want = kernel_diag(pii1, float(a)) if i == j else kernel_eval(pii1, float(a), float(b))
-            assert abs(k[i, j] - want) <= 1e-12
+            if i == j:
+                hi = psi_column(pii1.field, float(a) + h)
+                lo = psi_column(pii1.field, float(a) - h)
+                d11 = (hi.psi11 - lo.psi11) / (2 * h)
+                d21 = (hi.psi21 - lo.psi21) / (2 * h)
+                want = (d21 * ca.psi11 - d11 * ca.psi21) / (2 * math.pi)
+                tol = 1e-6
+            else:
+                cb = psi_column(pii1.field, float(b))
+                want = (ca.psi21 * cb.psi11 - cb.psi21 * ca.psi11) / (2 * math.pi * (a - b))
+                tol = 1e-12
+            assert abs(want.imag) <= 1e-7
+            assert abs(k[i, j] - want.real) <= tol
+
+
+def test_near_diagonal_entries_march_in_one_batch(hm, monkeypatch):
+    # Nodes of 1e-5 * GL(64) sit closer than the 1e-6 switch radius, so many
+    # off-diagonal pairs take the diagonal value at their midpoint; all
+    # those midpoints go into one march after the nodes' own.
+    marches = []
+    march = gapdet.psi._march
+
+    def counting(field_, lams, want_matrix):
+        marches.append(len(lams))
+        return march(field_, lams, want_matrix)
+
+    monkeypatch.setattr(gapdet.psi, "_march", counting)
+    spec = PII(x=0.0, field=PsiField(x=0.0, hm=hm))
+    pts = 1e-5 * gauss_legendre(64).nodes_f8
+    k = kernel_matrix(spec, pts)
+    stray = (np.abs(pts[:, None] - pts[None, :]) < 1e-6) & ~np.eye(64, dtype=bool)
+    mids = 0.5 * (pts[:, None] + pts[None, :])
+    assert marches == [64, len(np.unique(mids[stray]))]
+    assert np.array_equal(k, k.T)
+    for i, j in zip(*np.nonzero(stray)):
+        assert abs(k[i, j] - kernel_diag(spec, float(mids[i, j]))) <= 1e-12
 
 
 def test_rank_structured_values_are_bounded_with_positive_diagonal(hm):
@@ -156,3 +202,7 @@ def test_poisoned_cache_is_caught(hm):
         kernel_eval(spec, 0.5, 1.0)
     with pytest.raises(KernelIntegrityError):
         kernel_matrix(spec, np.array([0.5, 1.0, 1.5]))
+    # the poisoned column as the midpoint of a near-diagonal pair, whose
+    # neighbours are clean
+    with pytest.raises(KernelIntegrityError, match="diagonal"):
+        kernel_matrix(spec, np.array([0.5 - 2e-7, 0.5 + 2e-7]))

@@ -105,6 +105,13 @@ def test_derivative_closed_form_without_potential():
     theta = (4.0 / 3.0) * lam**3 + 2.0 * lam
     want1 = -1j * (4.0 * lam**2 + 2.0) * np.exp(-1j * theta)
     assert abs(d1 - want1) <= 1e-8
+    # an array of lambdas gives the scalar results elementwise
+    lams = np.array([-2.5, -0.4, 0.0, lam, 3.0])
+    a1, a2 = psi_column_derivative(f, lams)
+    assert a1.shape == a2.shape == lams.shape
+    for i, v in enumerate(lams):
+        s1, s2 = psi_column_derivative(f, float(v))
+        assert a1[i] == s1 and a2[i] == s2
 
 
 def test_ray_routes_are_path_independent(hm):
