@@ -122,6 +122,15 @@ def test_pii_ladder_marches_once(hm, monkeypatch):
     assert marches == []
 
 
+def test_march_tolerance_bias_is_below_the_ladder_floor(hm):
+    # Every rung shares the march, so a bias linear in the march tolerance
+    # is invisible to the ladder; at the default it must sit far below the
+    # 128 -> 256 rung gap here (2.5e-5).
+    vals = [log_det(PII(x=1.0, field=PsiField(x=1.0, hm=hm, tol=tol)), 2.0, 256).log_det
+            for tol in (PsiField.tol, 1e-14)]
+    assert abs(float(vals[0]) - float(vals[1])) <= 1e-6
+
+
 def test_trust_band_edge_still_converges_for_trig():
     ev = log_det_converged(CubicSine(t=1.0, x=1.0), 2.1)
     assert ev.converged and ev.n <= 400

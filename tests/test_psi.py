@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import gapdet.psi
 from gapdet import (
     PhaseExtractedColumn,
     PsiField,
     StiffnessError,
+    gauss_legendre,
     psi_column,
     psi_column_derivative,
     psi_column_ray,
@@ -78,6 +81,62 @@ def test_batch_and_single_evaluations_agree(hm):
         cs = psi_column(single_field, float(lam))
         assert abs(cb.psi11 - cs.psi11) <= 1e-9
         assert abs(cb.psi21 - cs.psi21) <= 1e-9
+
+
+def test_columns_match_an_independent_dop853_march(hm):
+    # scipy's eighth-order march of psi itself (not the rotation-free state
+    # psi.py integrates), from the same far-field seed and the same u
+    lams = 2.0 * gauss_legendre(32).nodes_f8
+    m = len(lams)
+    for x in (-1.0, 0.0, 1.0):
+        f = PsiField(x=x, hm=hm)
+
+        def rhs(t, y):
+            u = f._u(np.array([t]))[0]
+            p1, p2 = y[:m], y[m:]
+            return np.concatenate([-1j * lams * p1 + 1j * u * p2,
+                                   -1j * u * p1 + 1j * lams * p2])
+
+        th0 = (4.0 / 3.0) * lams**3 + f.x_start * lams
+        y0 = np.concatenate([np.exp(-1j * th0), -1j * np.exp(1j * th0)])
+        ref = solve_ivp(rhs, (f.x_start, x), y0, method="DOP853",
+                        rtol=1e-13, atol=1e-15).y[:, -1]
+        cols = psi_columns(f, lams)
+        got = np.concatenate([[c.psi11 for c in cols], [c.psi21 for c in cols]])
+        assert np.max(np.abs(got - ref)) <= 2e-12
+
+
+def test_ladder_batch_steps_over_the_decayed_potential(hm):
+    # A PII ladder's 480-node batch at x = 0, s = 1.8: the march evaluates
+    # u once per attempted step, plus once at the seed.  Past x ~ 6, where
+    # u < 1e-5, the rotation-free state barely moves, so few steps go there.
+    f = PsiField(x=0.0, hm=hm)
+    u = f._u
+    calls = []
+
+    def counting(xs):
+        calls.append(len(xs))
+        return u(xs)
+
+    f._u = counting
+    lams = np.concatenate([1.8 * gauss_legendre(n).nodes_f8 for n in (32, 64, 128, 256)])
+    psi_columns(f, lams)
+    assert len(f.cache) == 480
+    assert len(calls) <= 400
+
+
+def test_repeated_lambda_is_marched_once(hm, monkeypatch):
+    marches = []
+    march = gapdet.psi._march
+
+    def counting(field_, lams, want_matrix):
+        marches.append(list(lams))
+        return march(field_, lams, want_matrix)
+
+    monkeypatch.setattr(gapdet.psi, "_march", counting)
+    cols = psi_columns(PsiField(x=0.0, hm=hm), [0.3, 0.3, 0.3])
+    assert marches == [[0.3]]
+    assert cols[0] is cols[1] is cols[2]
 
 
 def test_cache_returns_the_stored_column(field0):
