@@ -108,25 +108,31 @@ def log_det_converged(spec: KernelSpec, s: float) -> DetEvaluation:
     """Doubles n from 32 until successive values agree within 1e-8.
 
     Stops at n = 256 (the next doubling exceeds the order cap) and reports
-    converged = False when agreement was not reached.  For a PII spec the
+    converged = False when agreement was not reached.  A rung below the top
+    whose determinant leaves (0, 1] is under-resolved and skipped: the gap
+    is only taken between two successive rungs that both hold, and a
+    failure at the top rung raises DetIntegrityError.  For a PII spec the
     nodes of every rung are marched in one batch before the first rung, so
     each rung's assembly finds its columns cached.
     """
     _check_s(spec, s)
-    if isinstance(spec, PII) and s > 0.0:
-        psi.psi_columns(spec.field, np.concatenate([s * _rule(n).nodes_f8 for n in _LADDER]))
-    ev = log_det(spec, s, _LADDER[0])
     if s == 0.0:
-        return ev
-    converged = False
-    for n in _LADDER[1:]:
-        nxt = log_det(spec, s, n)
-        delta = abs(float(nxt.log_det - ev.log_det))
-        ev = nxt
-        if delta <= _LADDER_TOL:
-            converged = True
-            break
-    return replace(ev, converged=converged)
+        return log_det(spec, s, _LADDER[0])
+    if isinstance(spec, PII):
+        psi.psi_columns(spec.field, np.concatenate([s * _rule(n).nodes_f8 for n in _LADDER]))
+    prev = None
+    for n in _LADDER:
+        try:
+            ev = log_det(spec, s, n)
+        except DetIntegrityError:
+            if n == _LADDER[-1]:
+                raise
+            prev = None
+            continue
+        if prev is not None and abs(float(ev.log_det - prev.log_det)) <= _LADDER_TOL:
+            return replace(ev, converged=True)
+        prev = ev
+    return ev
 
 
 def _check_h(s: float, h: float):

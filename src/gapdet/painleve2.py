@@ -14,19 +14,23 @@ converged grid cannot drop below about 2 eps |u| / h^2 (one half-ulp of a
 stored value already moves it that much), which is ~4e-10 at the default
 h = 0.002; the Newton loop therefore targets 1e-10 but accepts a stall
 anywhere below 1e-8.
+
+``scipy.linalg`` and ``scipy.interpolate`` are imported inside ``solve_hm``
+and the solution's constructor, so importing gapdet does not load them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
 from .mpnum import gauss_legendre
 from .specfun import airy_ai, airy_ai_prime
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "HastingsMcLeodSolution",
@@ -60,8 +64,7 @@ class WrongBranchError(RuntimeError):
 class HastingsMcLeodSolution:
     """Grid representation of u, u_x and v on [x_left, x_right].
 
-    Immutable once built; the cubic interpolants are constructed eagerly and
-    shared freely across threads.
+    Immutable once built; the cubic interpolants are constructed eagerly.
     """
 
     x_left: float
@@ -78,6 +81,8 @@ class HastingsMcLeodSolution:
     _v_spline: CubicSpline = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        from scipy.interpolate import CubicSpline
+
         object.__setattr__(self, "_u_spline", CubicSpline(self.x, self.u))
         object.__setattr__(self, "_ux_spline", CubicSpline(self.x, self.u_x))
         object.__setattr__(self, "_v_spline", CubicSpline(self.x, self.v))
@@ -133,6 +138,8 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
     Raises NewtonDivergenceError when the residual grows five iterations in
     a row and WrongBranchError when the iterate leaves u > 0.
     """
+    from scipy.linalg import solve_banded
+
     if x_left > -8.0:
         raise ValueError(f"x_left = {x_left} must be <= -8")
     if not 6.0 <= x_right <= 40.0:

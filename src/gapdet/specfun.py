@@ -2,6 +2,8 @@
 
 Ai and Ai' come from ``scipy.special.airy`` behind a domain check on
 [-10, 40], the range the Hastings-McLeod solve and the column march use.
+``scipy.special`` is imported at the first Airy call, so the sine and
+cubic-sine paths never load it.
 Against mpmath at 30 digits, over 2,009 equally spaced points on [-10, 40],
 the worst error of either function is 3.6e-14: relative for x >= 0,
 absolute for x < 0, where Ai oscillates through zero.
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import airy
 
 from .mpnum import ExtendedReal
 
@@ -65,6 +66,8 @@ _X_MAX = 40.0
 
 
 def _airy_pair(x):
+    from scipy.special import airy
+
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     # written so that NaN, for which every comparison is False, is rejected
     if not np.all((xa >= _X_MIN) & (xa <= _X_MAX)):

@@ -147,6 +147,51 @@ def test_beyond_the_trust_band_fails_loudly_or_flags():
     assert (not ev.converged) or float(ev.log_det) < -100.0
 
 
+def _numpy_nystrom_log_det(t: float, x: float, s: float, n: int) -> float:
+    # Independent of gapdet: numpy's Gauss-Legendre rule, the cubic-sine
+    # kernel written from its definition sin(phase)/(pi (lam - mu)) with the
+    # diagonal limit (4 t lam^2 + x)/pi, and LAPACK's slogdet.
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    lam, w = s * nodes, s * weights
+    d = lam[:, None] - lam[None, :]
+    phase = (4.0 / 3.0) * t * (lam[:, None] ** 3 - lam[None, :] ** 3) + x * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.sin(phase) / (np.pi * d)
+    k[np.diag_indices(n)] = (4.0 * t * lam**2 + x) / np.pi
+    sq = np.sqrt(w)
+    sign, logabs = np.linalg.slogdet(np.eye(n) - sq[:, None] * k * sq[None, :])
+    assert sign == 1.0
+    return float(logabs)
+
+
+def test_under_resolved_lower_rung_is_skipped():
+    # At (x, s) = (2, 2.2) the n = 32 determinant leaves (0, 1] while the
+    # rungs above it resolve; the ladder must go on to them, not raise.
+    spec = CubicSine(t=1.0, x=2.0)
+    with pytest.raises(DetIntegrityError):
+        log_det(spec, 2.2, 32)
+    ev = log_det_converged(spec, 2.2)
+    assert ev.n == 256 and not ev.converged
+    top = log_det(spec, 2.2, 256)
+    assert ev.log_det.hi == top.log_det.hi and ev.log_det.lo == top.log_det.lo
+    # lambda_min of I - K is 4.1e-11 here, so the binary64 floor is
+    # eps / lambda_min = 5.4e-6; the two evaluations differ by ~1.4e-6.
+    assert abs(float(ev.log_det) - _numpy_nystrom_log_det(1.0, 2.0, 2.2, 256)) <= 1e-5
+
+
+def test_top_rung_failure_still_raises(monkeypatch):
+    real = gapdet.fredholm.log_det
+
+    def failing_at_the_top(spec, s, n):
+        if n == 256:
+            raise DetIntegrityError("forced at the top rung")
+        return real(spec, s, n)
+
+    monkeypatch.setattr(gapdet.fredholm, "log_det", failing_at_the_top)
+    with pytest.raises(DetIntegrityError, match="top rung"):
+        log_det_converged(CubicSine(t=1.0, x=2.0), 2.2)
+
+
 # --- derivatives --------------------------------------------------------------
 
 
