@@ -25,8 +25,7 @@ print("fitted exponent:  %.3f   (the asymptotic value is 6)" % exponent)
 print("fitted prefactor: %.3f   (the asymptotic value is 2/3 = 0.667)" % prefactor)
 print()
 print("The settle flag demands 1e-8 agreement between successive rule sizes;")
-print("for this kernel the gap between rungs only halves at each doubling of")
-print("the rule (a bias from the second-order boundary-value solve), so the")
-print("flag stays off.  The fit itself is insensitive to that: the subleading")
-print("terms of the expansion, not rung noise, are what bias the slope below 6")
-print("on a narrow s-window.")
+print("these ladders converge spectrally and stop at n = 64 or 128, so the")
+print("values are good to far more digits than the fit can use.  What biases")
+print("the slope below 6 on a narrow s-window is the subleading terms of the")
+print("expansion, not the determinants.")

@@ -409,7 +409,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     """Build the order-n Gauss-Legendre rule on [-1, 1].
 
     Roots start from the cosine guesses cos(pi (k + 3/4) / (n + 1/2)),
-    converge in binary64 Newton, then take three guard Newton steps in
+    converge in binary64 Newton, then take two guard Newton steps in
     double-double.  Weights are 2 / ((1 - x^2) P_n'(x)^2) in dd.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -434,9 +434,9 @@ def gauss_legendre(n: int) -> QuadratureRule:
     else:
         raise NewtonConvergenceError(int(np.argmax(np.abs(dx))), n)
 
-    # three dd guard iterations
+    # two dd guard iterations
     xh, xl = x, np.zeros_like(x)
-    for _ in range(3):
+    for _ in range(2):
         (pnh, pnl), (pm1h, pm1l) = _legendre_pair(n, xh, xl)
         th, tl = dd_mul(xh, xl, pnh, pnl)
         th, tl = dd_sub(pm1h, pm1l, th, tl)

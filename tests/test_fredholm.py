@@ -71,7 +71,7 @@ def test_ladder_converges_quickly_for_smooth_kernels(hm):
     spec = PII(x=0.0, field=PsiField(x=0.0, hm=hm))
     ev = log_det_converged(spec, 1.0)
     assert ev.converged and ev.n <= 200
-    assert abs(float(ev.log_det) - (-1.2258351468696294)) <= 1e-8
+    assert abs(float(ev.log_det) - (-1.2258351385135415)) <= 1e-8
 
 
 def test_ladder_values_decrease_in_s():
@@ -124,11 +124,48 @@ def test_pii_ladder_marches_once(hm, monkeypatch):
 
 def test_march_tolerance_bias_is_below_the_ladder_floor(hm):
     # Every rung shares the march, so a bias linear in the march tolerance
-    # is invisible to the ladder; at the default it must sit far below the
-    # 128 -> 256 rung gap here (2.5e-5).
+    # is invisible to the ladder.  The ladder itself converges here (at
+    # n = 128), which leaves this bias, 1.7e-7 at the default tol, as the
+    # leading error of the converged value.
     vals = [log_det(PII(x=1.0, field=PsiField(x=1.0, hm=hm, tol=tol)), 2.0, 256).log_det
             for tol in (PsiField.tol, 1e-14)]
     assert abs(float(vals[0]) - float(vals[1])) <= 1e-6
+
+
+def test_pii_ladders_converge(hm):
+    unconverged = []
+    for x in (-1.0, 0.0, 1.0):
+        for s in (1.6, 1.8, 2.0):
+            ev = log_det_converged(PII(x=x, field=PsiField(x=x, hm=hm)), s)
+            if not (ev.converged and ev.n <= 128):
+                unconverged.append((x, s, ev.n))
+    assert unconverged == []
+
+
+def test_pii_ladder_against_the_shooting_oracle(hm, shooting_hm):
+    # The oracle runs the same assembly at n = 256 on the DOP853 shooting
+    # profile with a 100x tighter march; at (1, 2.0) the default march tol
+    # leaves a 1.7e-7 bias, hence the looser bound there.
+    errors = {}
+    for x, s in ((0.0, 1.0), (0.0, 1.8), (1.0, 2.0)):
+        ev = log_det_converged(PII(x=x, field=PsiField(x=x, hm=hm)), s)
+        want = log_det(PII(x=x, field=PsiField(x=x, hm=shooting_hm, tol=1e-14)), s, 256)
+        errors[x, s] = abs(float(ev.log_det) - float(want.log_det))
+    assert errors[0.0, 1.0] <= 1e-8 and errors[0.0, 1.8] <= 1e-8
+    assert errors[1.0, 2.0] <= 1e-6
+
+
+def test_pii_ladder_eliminates_only_the_rungs_it_needs(hm, monkeypatch):
+    sizes = []
+    lu = gapdet.fredholm.log_det_lu
+
+    def recording(m):
+        sizes.append(m.shape[0])
+        return lu(m)
+
+    monkeypatch.setattr(gapdet.fredholm, "log_det_lu", recording)
+    log_det_converged(PII(x=0.0, field=PsiField(x=0.0, hm=hm)), 1.8)
+    assert sizes == [32, 64]
 
 
 def test_trust_band_edge_still_converges_for_trig():

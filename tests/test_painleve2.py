@@ -3,8 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
-from scipy.special import airy as scipy_airy
+from scipy.integrate import quad
 
 from gapdet.painleve2 import (
     NewtonDivergenceError,
@@ -26,11 +25,12 @@ def test_solution_metadata(hm):
 
 
 def test_residual_recomputed_independently(hm):
-    # Second-order central differences of the stored profile must satisfy
-    # u'' = 2 u^3 + x u to the advertised residual level.
+    # The Numerov stencil of u'' = f, f = 2 u^3 + x u, on the stored profile:
+    # the second difference against the 1-10-1 weighted average of f.
     u, x, h = hm.u, hm.x, hm.h
+    f = 2.0 * u ** 3 + x * u
     lhs = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    rhs = 2.0 * u[1:-1] ** 3 + x[1:-1] * u[1:-1]
+    rhs = (f[2:] + 10.0 * f[1:-1] + f[:-2]) / 12.0
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
@@ -53,26 +53,24 @@ def test_profile_positive_and_decreasing_on_the_right(hm):
     assert np.all(np.diff(vals) < 0.0)
 
 
-def test_value_at_zero_against_shooting_oracle(hm):
-    # Integrate the same ODE down from Airy data at the right edge with an
-    # unrelated adaptive integrator.
-    ai8, aip8, _, _ = scipy_airy(8.0)
-    res = solve_ivp(
-        lambda x, y: [y[1], 2.0 * y[0] ** 3 + x * y[0]],
-        (8.0, 0.0),
-        [ai8, aip8],
-        rtol=1e-11,
-        atol=1e-14,
-    )
-    assert abs(hm.u_at(0.0) - res.y[0, -1]) <= 1e-6
+def test_value_at_zero_against_shooting_oracle(hm, shooting_hm):
+    # The oracle integrates the same ODE down from Airy data at the right
+    # edge with an unrelated adaptive integrator (DOP853 at rtol 1e-13).
+    assert abs(hm.u_at(0.0) - shooting_hm.u_at(0.0)) <= 1e-9
     # regression pin for the value the oracle above confirms
-    assert abs(hm.u_at(0.0) - 0.36706153575002176) <= 1e-9
+    assert abs(hm.u_at(0.0) - 0.36706155154807135) <= 1e-9
 
 
-def test_step_refinement_is_second_order():
+def test_value_at_zero_matches_the_published_value(hm):
+    # u(0) = 0.3670615515480784 (Fornberg & Weideman, Found. Comput. Math.
+    # 14, 2014), from a spectral solve independent of both routes above.
+    assert abs(hm.u_at(0.0) - 0.3670615515480784) <= 1e-12
+
+
+def test_step_refinement_is_fourth_order():
     u0 = [solve_hm(h=h).u_at(0.0) for h in (0.008, 0.004, 0.002)]
     ratio = (u0[0] - u0[1]) / (u0[1] - u0[2])
-    assert 3.8 <= ratio <= 4.2
+    assert 15.0 <= ratio <= 17.0
 
 
 def test_accessors_return_python_floats(hm):
@@ -97,11 +95,14 @@ def test_v_is_the_squared_tail_mass(hm):
     assert abs((v_at(hm, -2.0) - v_at(hm, 6.0)) - mid) <= 1e-7
 
 
-def test_moment_functional_against_quadrature_oracle(hm):
-    body, _ = quad(lambda y: y * hm.u_at(y) ** 2, 0.0, 8.0, limit=200, epsabs=1e-13)
+def test_moment_functional_against_quadrature_oracle(hm, shooting_hm):
     tail = float(mpmath.quad(lambda y: y * mpmath.airyai(y) ** 2, [8, mpmath.inf]))
+    body, _ = quad(lambda y: y * hm.u_at(y) ** 2, 0.0, 8.0, limit=200, epsabs=1e-13)
     assert abs(tw_integral(hm, 0.0) - (body + tail)) <= 1e-8
-    assert abs(tw_integral(hm, 0.0) - 0.03110597881799387) <= 1e-9
+    # the same integral on the shooting profile confirms the pin
+    body, _ = quad(lambda y: y * shooting_hm.u_at(y) ** 2, 0.0, 8.0, limit=200, epsabs=1e-13)
+    assert abs(tw_integral(hm, 0.0) - (body + tail)) <= 1e-9
+    assert abs(tw_integral(hm, 0.0) - 0.031105985306311295) <= 1e-9
 
 
 def test_moment_functional_shape(hm):
