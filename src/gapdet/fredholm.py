@@ -112,14 +112,15 @@ def log_det_converged(spec: KernelSpec, s: float) -> DetEvaluation:
     whose determinant leaves (0, 1] is under-resolved and skipped: the gap
     is only taken between two successive rungs that both hold, and a
     failure at the top rung raises DetIntegrityError.  For a PII spec the
-    nodes of every rung are marched in one batch before the first rung, so
-    each rung's assembly finds its columns cached.
+    nodes of the first two rungs, which the first gap compares, are marched
+    in one batch before the first rung; a higher rung's assembly marches
+    its own nodes when the ladder reaches it.
     """
     _check_s(spec, s)
     if s == 0.0:
         return log_det(spec, s, _LADDER[0])
     if isinstance(spec, PII):
-        psi.psi_columns(spec.field, np.concatenate([s * _rule(n).nodes_f8 for n in _LADDER]))
+        psi.psi_columns(spec.field, np.concatenate([s * _rule(n).nodes_f8 for n in _LADDER[:2]]))
     prev = None
     for n in _LADDER:
         try:

@@ -132,10 +132,11 @@ def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
     """K sampled on points x points, vectorized, exactly symmetric.
 
     The column-based variant reads its columns through ``psi_columns``,
-    which marches the uncached ones in one batch; inside a ladder every
-    rung's nodes are already cached.  Off-diagonal pairs closer than the
-    switch radius take the diagonal value at their midpoint, and all those
-    midpoints are marched in a second batch.
+    which marches the uncached ones in one batch; inside a ladder the first
+    two rungs' nodes are already cached, and a higher rung's are marched
+    here.  Off-diagonal pairs closer than the switch radius take the
+    diagonal value at their midpoint, and all those midpoints are marched
+    in a second batch.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)

@@ -19,8 +19,9 @@ e^{-+i lambda x} out in closed form:
 The seed phi = (e^{-i (4/3) lambda^3}, -i e^{+i (4/3) lambda^3}) does not
 depend on x, and the right-hand side is proportional to u, so where u is
 negligible (u < 1e-5 for x > 6) the state is constant and the adaptive
-steps grow long instead of resolving the rotation.  A 480-lambda PII batch
-at x = 0, s = 1.8 takes 208 steps with column errors of a few 1e-13; the
+steps grow long instead of resolving the rotation.  At x = 0, s = 1.8 a
+batch of 96 lambdas (the first two rungs of a PII ladder) or of 480 (all
+four rungs) takes the same 208 steps, with column errors of a few 1e-13; the
 same DP45 march of psi itself, which must resolve the rotation all the way
 up to x = 12.5, takes 1316 steps and leaves about 1e-11.  For real lambda
 both fundamental solutions have constant modulus, so the march is
@@ -264,9 +265,9 @@ def psi_columns(field_: PsiField, lams) -> list:
     One adaptive step sequence serves the whole batch: its step count is set
     by how fast u and the rotation e^{2 i lambda x} vary where u is not
     negligible, not by the batch size.  So ``log_det_converged`` marches
-    every rung's nodes of a PII ladder in one call up front, and each
-    rung's ``kernel_matrix`` reads them from the cache.  A repeated lambda
-    is marched once.
+    the nodes of a PII ladder's first two rungs in one call up front, and
+    a higher rung's ``kernel_matrix`` marches its nodes here, in one batch,
+    when the ladder reaches it.  A repeated lambda is marched once.
     """
     lams = [float(v) for v in _check_lams(lams)]
     missing = list(dict.fromkeys(lam for lam in lams if lam not in field_.cache))

@@ -100,9 +100,10 @@ def test_zero_t_determinants_match_sine_bitwise():
         assert a.pivot_min.hi == b.pivot_min.hi
 
 
-def test_pii_ladder_marches_once(hm, monkeypatch):
-    # Every rung's nodes go into one batched march before the first rung;
-    # the rungs then read their columns from the cache.
+def test_pii_ladder_marches_each_rung_when_it_reaches_it(hm, monkeypatch):
+    # The first two rungs, which the first gap compares, are marched in one
+    # batch before the first rung; a higher rung is marched, in one batch,
+    # only when the ladder reaches it.
     marches = []
     march = gapdet.psi._march
 
@@ -112,9 +113,12 @@ def test_pii_ladder_marches_once(hm, monkeypatch):
 
     monkeypatch.setattr(gapdet.psi, "_march", counting)
     f = PsiField(x=0.0, hm=hm)
-    log_det_converged(PII(x=0.0, field=f), 1.0)
-    assert marches == [32 + 64 + 128 + 256]
-    assert len(f.cache) == 480
+    assert log_det_converged(PII(x=0.0, field=f), 1.0).n == 64
+    assert marches == [32 + 64]
+    assert len(f.cache) == 96
+    marches.clear()
+    assert log_det_converged(PII(x=1.0, field=PsiField(x=1.0, hm=hm)), 2.0).n == 128
+    assert marches == [32 + 64, 128]
     # s is checked before anything is marched
     marches.clear()
     with pytest.raises(ValueError):
@@ -122,11 +126,25 @@ def test_pii_ladder_marches_once(hm, monkeypatch):
     assert marches == []
 
 
+def test_a_field_shared_across_s_gives_the_fresh_field_values(hm):
+    # Reusing one PsiField for ladders at several s, as the pii_sweep
+    # benchmark does, must not change a value: the cache keys are s * node,
+    # so each rung's batch is the same as on a fresh field.
+    shared = PsiField(x=1.0, hm=hm)
+    for s, n in ((1.8, 64), (2.0, 128)):
+        a = log_det_converged(PII(x=1.0, field=shared), s)
+        b = log_det_converged(PII(x=1.0, field=PsiField(x=1.0, hm=hm)), s)
+        assert a.n == b.n == n
+        assert (a.log_det.hi, a.log_det.lo) == (b.log_det.hi, b.log_det.lo)
+
+
 def test_march_tolerance_bias_is_below_the_ladder_floor(hm):
-    # Every rung shares the march, so a bias linear in the march tolerance
-    # is invisible to the ladder.  The ladder itself converges here (at
-    # n = 128), which leaves this bias, 1.7e-7 at the default tol, as the
-    # leading error of the converged value.
+    # Every rung's columns carry nearly the same bias, linear in the march
+    # tolerance, whether the rung shares its batch or has its own (1.82e-7
+    # at n = 32, 1.72e-7 at n = 256), so the bias is invisible to the
+    # ladder.  The ladder itself converges here (at n = 128), which leaves
+    # this bias, 1.7e-7 at the default tol, as the leading error of the
+    # converged value.
     vals = [log_det(PII(x=1.0, field=PsiField(x=1.0, hm=hm, tol=tol)), 2.0, 256).log_det
             for tol in (PsiField.tol, 1e-14)]
     assert abs(float(vals[0]) - float(vals[1])) <= 1e-6

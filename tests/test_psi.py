@@ -107,7 +107,8 @@ def test_columns_match_an_independent_dop853_march(hm):
 
 
 def test_ladder_batch_steps_over_the_decayed_potential(hm):
-    # A PII ladder's 480-node batch at x = 0, s = 1.8: the march evaluates
+    # A 480-node batch, all four rungs of a PII ladder at x = 0, s = 1.8
+    # (a ladder marches 96 of them up front): the march evaluates
     # u once per attempted step, plus once at the seed.  Past x ~ 6, where
     # u < 1e-5, the rotation-free state barely moves, so few steps go there.
     f = PsiField(x=0.0, hm=hm)
