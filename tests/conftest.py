@@ -41,3 +41,33 @@ def shooting_hm():
         x_left=-2.0, x_right=8.0, h=float(x[1] - x[0]),
         x=x, u=u, u_x=u_x, v=v, residual=0.0, iterations=0,
     )
+
+
+@pytest.fixture(scope="session")
+def dop853_columns():
+    """Test-only oracle for the column march, independent of psi.py's integrator.
+
+    scipy's eighth-order DOP853 marches psi itself (not the rotation-free
+    state psi.py integrates) at rtol 1e-13, from the same far-field seed at
+    field.x_start and with the same u, down to field.x.  Returns psi11 and
+    psi21 there as two arrays.
+    """
+    from scipy.integrate import solve_ivp
+
+    def march(field, lams):
+        lams = np.asarray(lams, dtype=float)
+        m = len(lams)
+
+        def rhs(t, y):
+            u = field._u(np.array([t]))[0]
+            p1, p2 = y[:m], y[m:]
+            return np.concatenate([-1j * lams * p1 + 1j * u * p2,
+                                   -1j * u * p1 + 1j * lams * p2])
+
+        th0 = (4.0 / 3.0) * lams**3 + field.x_start * lams
+        y0 = np.concatenate([np.exp(-1j * th0), -1j * np.exp(1j * th0)])
+        y = solve_ivp(rhs, (field.x_start, field.x), y0, method="DOP853",
+                      rtol=1e-13, atol=1e-15).y[:, -1]
+        return y[:m], y[m:]
+
+    return march

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 import gapdet.psi
 from gapdet import (
@@ -35,13 +34,14 @@ def field8(hm):
 
 def test_zero_potential_reduces_to_pure_oscillation():
     # With no potential attached the system decouples and the columns are
-    # exactly (exp(-i theta), -i exp(+i theta)).
-    f = PsiField(x=1.0, hm=None)
-    for lam in (-3.0, -0.7, 0.0, 1.3, 4.0):
-        c = psi_column(f, lam)
-        theta = (4.0 / 3.0) * lam**3 + f.x * lam
-        assert abs(c.psi11 - np.exp(-1j * theta)) <= 1e-9
-        assert abs(c.psi21 - (-1j) * np.exp(1j * theta)) <= 1e-9
+    # exactly (exp(-i theta), -i exp(+i theta)); at x = x_start the march
+    # takes no step at all.
+    for f in (PsiField(x=1.0, hm=None), PsiField(x=12.5, hm=None)):
+        for lam in (-3.0, -0.7, 0.0, 1.3, 4.0):
+            c = psi_column(f, lam)
+            theta = (4.0 / 3.0) * lam**3 + f.x * lam
+            assert abs(c.psi11 - np.exp(-1j * theta)) <= 1e-9
+            assert abs(c.psi21 - (-1j) * np.exp(1j * theta)) <= 1e-9
 
 
 def test_theta_field_is_the_cubic_phase(field0):
@@ -55,6 +55,15 @@ def test_determinant_stays_unimodular(hm):
         f = PsiField(x=x, hm=hm)
         for lam in (-2.5, 0.0, 1.0, 3.0):
             assert abs(psi_det(f, lam) - 1.0) <= 1e-8
+
+
+def test_determinant_is_unimodular_to_rounding(hm):
+    # Every step matrix has the form [[p, q], [conj q, conj p]] with
+    # |p|^2 - |q|^2 = 1 to rounding, so only rounding moves the determinant.
+    for x in (-1.0, 0.0, 1.0, 5.0):
+        f = PsiField(x=x, hm=hm)
+        for lam in (-2.5, 0.0, 1.0, 3.0):
+            assert abs(psi_det(f, lam) - 1.0) <= 1e-13
 
 
 def test_conjugation_pairing_holds_to_rounding(field0):
@@ -83,47 +92,54 @@ def test_batch_and_single_evaluations_agree(hm):
         assert abs(cb.psi21 - cs.psi21) <= 1e-9
 
 
-def test_columns_match_an_independent_dop853_march(hm):
-    # scipy's eighth-order march of psi itself (not the rotation-free state
-    # psi.py integrates), from the same far-field seed and the same u
-    lams = 2.0 * gauss_legendre(32).nodes_f8
-    m = len(lams)
+def test_columns_match_an_independent_dop853_march(hm, dop853_columns):
+    # up to s = 2.4, the cap on the PII interval
+    for s in (2.0, 2.4):
+        lams = s * gauss_legendre(32).nodes_f8
+        for x in (-1.0, 0.0, 1.0):
+            f = PsiField(x=x, hm=hm)
+            ref = np.concatenate(dop853_columns(f, lams))
+            cols = psi_columns(f, lams)
+            got = np.concatenate([[c.psi11 for c in cols], [c.psi21 for c in cols]])
+            assert np.max(np.abs(got - ref)) <= 2e-12
+
+
+def test_a_column_marched_alone_matches_its_ladder_batch(hm):
+    # The march's grid depends on the field alone and every operation is
+    # elementwise in lambda, so a column does not depend on its batch.
     for x in (-1.0, 0.0, 1.0):
-        f = PsiField(x=x, hm=hm)
-
-        def rhs(t, y):
-            u = f._u(np.array([t]))[0]
-            p1, p2 = y[:m], y[m:]
-            return np.concatenate([-1j * lams * p1 + 1j * u * p2,
-                                   -1j * u * p1 + 1j * lams * p2])
-
-        th0 = (4.0 / 3.0) * lams**3 + f.x_start * lams
-        y0 = np.concatenate([np.exp(-1j * th0), -1j * np.exp(1j * th0)])
-        ref = solve_ivp(rhs, (f.x_start, x), y0, method="DOP853",
-                        rtol=1e-13, atol=1e-15).y[:, -1]
-        cols = psi_columns(f, lams)
-        got = np.concatenate([[c.psi11 for c in cols], [c.psi21 for c in cols]])
-        assert np.max(np.abs(got - ref)) <= 2e-12
+        lams = np.concatenate([2.0 * gauss_legendre(n).nodes_f8 for n in (32, 64)])
+        batch = psi_columns(PsiField(x=x, hm=hm), lams)
+        for lam, cb in list(zip(lams, batch))[::8]:
+            ca = psi_column(PsiField(x=x, hm=hm), float(lam))
+            assert abs(ca.psi11 - cb.psi11) <= 1e-15
+            assert abs(ca.psi21 - cb.psi21) <= 1e-15
 
 
 def test_ladder_batch_steps_over_the_decayed_potential(hm):
-    # A 480-node batch, all four rungs of a PII ladder at x = 0, s = 1.8
-    # (a ladder marches 96 of them up front): the march evaluates
-    # u once per attempted step, plus once at the seed.  Past x ~ 6, where
-    # u < 1e-5, the rotation-free state barely moves, so few steps go there.
+    # The first two rungs of a PII ladder at x = 0, s = 1.8.  The grid is
+    # fixed per field: one call samples u to grade it, then one call per
+    # chunk of steps evaluates u at the chunk's three Gauss points per step.
+    # Past x ~ 6, where u < 1e-5, the steps are long, so few lie there.
     f = PsiField(x=0.0, hm=hm)
     u = f._u
     calls = []
 
     def counting(xs):
-        calls.append(len(xs))
+        calls.append(np.array(xs))
         return u(xs)
 
     f._u = counting
-    lams = np.concatenate([1.8 * gauss_legendre(n).nodes_f8 for n in (32, 64, 128, 256)])
+    lams = np.concatenate([1.8 * gauss_legendre(n).nodes_f8 for n in (32, 64)])
     psi_columns(f, lams)
-    assert len(f.cache) == 480
-    assert len(calls) <= 400
+    assert len(f.cache) == 96
+    sizes = [len(xs) for xs in calls[1:]]
+    steps = sum(sizes) // 3
+    chunk = gapdet.psi._CHUNK
+    assert sizes == [3 * min(chunk, steps - k) for k in range(0, steps, chunk)]
+    assert steps <= 300
+    gauss = np.concatenate(calls[1:])
+    assert np.count_nonzero(gauss > 6.0) <= 0.2 * len(gauss)
 
 
 def test_repeated_lambda_is_marched_once(hm, monkeypatch):
