@@ -3,9 +3,17 @@ Extended-precision quadrature and determinants
 ==============================================
 
 Shows what the double-double layer buys: Gauss-Legendre rules whose nodes
-carry ~32 significant digits, and an LU determinant that stays trustworthy
-on badly conditioned matrices.
+carry ~32 significant digits, and an LU that gives the determinant of the
+matrix it is handed to ~1e-14 even when that matrix is badly conditioned.
+What the LU does not buy is a better determinant of the matrix one meant:
+once the entries are rounded to binary64, the rounding moves the answer
+about as far as LAPACK's own error.  For the 8x8 Hilbert matrix below the
+stored entries shift log|det| by 2.9e-9 against slogdet's 6.4e-9; for a
+CubicSine(1, 1) kernel at s = 2, n = 96 the LU is off a 40-digit reference
+by 4.7e-10 and slogdet by 6.1e-10.
 """
+
+import math
 
 import numpy as np
 
@@ -38,3 +46,6 @@ print("sign:", res.sign, " smallest pivot:", float(res.pivot_min))
 
 sign, ref = np.linalg.slogdet(hilbert)
 print("numpy slogdet for comparison:      ", ref)
+# det H_n = c_n^4 / c_2n with c_n = 1! 2! ... (n-1)!, for the exact entries
+log_c = [sum(math.lgamma(k + 1) for k in range(m)) for m in (n, 2 * n)]
+print("exact Hilbert matrix (closed form):", 4 * log_c[0] - log_c[1])

@@ -27,6 +27,7 @@ from .asympt import (
     theorem2_prediction,
 )
 from .fredholm import (
+    DetEvaluation,
     DetIntegrityError,
     dlogdet_ds,
     dlogdet_dx,
@@ -223,12 +224,16 @@ def _render(cfg: RunConfig, header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _evaluate(cfg: RunConfig, spec, s: float) -> DetEvaluation:
+    """The determinant at the fixed order --n when given, else the ladder's."""
+    return log_det(spec, s, cfg.n) if cfg.n is not None else log_det_converged(spec, s)
+
+
 def cmd_det(cfg: RunConfig) -> tuple:
     sol = _solve_window(cfg) if cfg.kernel == "pii" else None
 
     def row(s):
-        spec = _spec_for(cfg, sol)
-        ev = log_det(spec, s, cfg.n) if cfg.n is not None else log_det_converged(spec, s)
+        ev = _evaluate(cfg, _spec_for(cfg, sol), s)
         return (s, ev.n, float(ev.log_det), ev.converged, float(ev.pivot_min))
 
     rows = [row(s) for s in cfg.s_list]
@@ -239,21 +244,16 @@ def _verify_pair(cfg: RunConfig, sol, s: float) -> tuple:
     """(computed, predicted) for one s under the configured formula."""
     spec = _spec_for(cfg, sol)
     f = cfg.formula
-    if f == "dyson":
-        return _det_value(cfg, spec, s), dyson_sine_prediction(s, cfg.x).value
-    if f == "theorem2":
-        return _det_value(cfg, spec, s), theorem2_prediction(s, cfg.x).value
-    if f == "theorem1":
-        return _det_value(cfg, spec, s), theorem1_prediction(s, cfg.x, sol).value
     if f == "logsasy":
         return dlogdet_ds(spec, s), logsasy_prediction(s, cfg.x)
-    # logxasy
-    return dlogdet_dx(spec, s), logxasy_prediction(s, cfg.x, v_at(sol, cfg.x))
-
-
-def _det_value(cfg: RunConfig, spec, s: float) -> float:
-    ev = log_det(spec, s, cfg.n) if cfg.n is not None else log_det_converged(spec, s)
-    return float(ev.log_det)
+    if f == "logxasy":
+        return dlogdet_dx(spec, s), logxasy_prediction(s, cfg.x, v_at(sol, cfg.x))
+    computed = float(_evaluate(cfg, spec, s).log_det)
+    if f == "dyson":
+        return computed, dyson_sine_prediction(s, cfg.x).value
+    if f == "theorem2":
+        return computed, theorem2_prediction(s, cfg.x).value
+    return computed, theorem1_prediction(s, cfg.x, sol).value
 
 
 def _default_tol(cfg: RunConfig, s: float) -> float:
@@ -271,7 +271,8 @@ def cmd_verify(cfg: RunConfig) -> tuple:
     sol = _solve_window(cfg) if needs_sol else None
 
     if cfg.formula == "fcet":
-        samples = [(s, _det_value(cfg, _spec_for(cfg, sol), s)) for s in cfg.s_list]
+        samples = [(s, float(_evaluate(cfg, _spec_for(cfg, sol), s).log_det))
+                   for s in cfg.s_list]
         exponent, _ = fcet_fit(samples)
         if cfg.tol is not None:
             ok = abs(exponent - 6.0) <= cfg.tol

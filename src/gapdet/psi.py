@@ -34,8 +34,10 @@ an eighth-order DOP853 march to a few 1e-13 for x >= -1 and |lambda| <=
 
 The lambda-ray route integrates the phase-extracted column phi = psi
 e^{i theta} in the spectral variable from lambda0 = iR with the first-order
-far-field seed phi = (1 - iv/(2 lambda0), u/(2 lambda0)).  Its seed carries
-a multiplicative O(R^-2) bias (the second-order moment of the far-field
+far-field seed phi = (1 - iv/(2 lambda0), u/(2 lambda0)), each leg of the
+path integrated by scipy's eighth-order DOP853 (scipy.integrate is imported
+on the first ray call, never by the x-march).  Its seed carries a
+multiplicative O(R^-2) bias (the second-order moment of the far-field
 expansion is not available in closed form from the inputs we keep), which
 is harmless for cross-checks and large x but too coarse for determinants
 whose top eigenvalue sits within 1e-8 of 1.  It is retained as
@@ -118,6 +120,10 @@ class PsiField:
     cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol = {self.tol} must be finite and positive")
+        if not math.isfinite(self.x_start):
+            raise ValueError(f"x_start = {self.x_start} must be finite")
         if self.hm is not None and not self.hm.x_left <= self.x <= self.hm.x_right:
             raise ValueError(
                 f"x = {self.x} outside the solved window "
@@ -138,71 +144,6 @@ class PsiField:
         if self.hm is None:
             return 0.0, 0.0, 0.0
         return self.hm.u_at(self.x), self.hm.u_x_at(self.x), v_at(self.hm, self.x)
-
-
-# ---------------------------------------------------------------------------
-# embedded Runge-Kutta 4(5), Dormand-Prince coefficients (the lambda-ray route)
-# ---------------------------------------------------------------------------
-
-# stage abscissae 2-6 (the seventh sits at 1, like the sixth) and weights
-_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B51, _B53, _B54, _B55, _B56 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_B41, _B43, _B44, _B45, _B46, _B47 = 5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
-
-
-def _integrate(rhs, t0: float, t1: float, y0: np.ndarray, tol: float) -> np.ndarray:
-    """Adaptive RK4(5) from t0 to t1 for complex array state.
-
-    The right-hand side is called as rhs(t, y).  The seventh stage is
-    evaluated at (t + h, y5), so an accepted step hands it on as the next
-    step's first ("first same as last").
-
-    The error measure is max over all state components relative to
-    1 + max|y|.  Raises StiffnessError when the step collapses below 1e-12
-    of the interval scale.
-    """
-    y = np.array(y0, dtype=complex)
-    t = t0
-    span = t1 - t0
-    if span == 0.0:
-        return y
-    direction = 1.0 if span > 0 else -1.0
-    h = span / 64.0
-    h_min = 1e-12 * (1.0 + abs(span))
-    k1 = rhs(t, y)
-
-    while (t1 - t) * direction > 0.0:
-        h_step = h
-        if (t + h_step - t1) * direction > 0.0:
-            h_step = t1 - t
-        c = t + _C * h_step
-        k2 = rhs(c[0], y + h_step * (_A21 * k1))
-        k3 = rhs(c[1], y + h_step * (_A31 * k1 + _A32 * k2))
-        k4 = rhs(c[2], y + h_step * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(c[3], y + h_step * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = rhs(c[4], y + h_step * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y5 = y + h_step * (_B51 * k1 + _B53 * k3 + _B54 * k4 + _B55 * k5 + _B56 * k6)
-        k7 = rhs(c[4], y5)
-        y4 = y + h_step * (_B41 * k1 + _B43 * k3 + _B44 * k4 + _B45 * k5 + _B46 * k6 + _B47 * k7)
-        err = float(np.max(np.abs(y5 - y4))) / (1.0 + float(np.max(np.abs(y5))))
-        if err <= tol:
-            t = t + h_step
-            y = y5
-            k1 = k7
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-        else:
-            factor = max(0.2, 0.9 * (tol / err) ** 0.2)
-        h = h_step * factor
-        # a collapsing step only matters while strictly inside the interval;
-        # the clamped final step is legitimately tiny
-        if abs(h) < h_min and (t1 - t) * direction > 0.0:
-            raise StiffnessError(t)
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -417,42 +358,45 @@ def psi_det(field_: PsiField, lam: float) -> complex:
 # lambda-ray transport (cross-check route)
 # ---------------------------------------------------------------------------
 
-def _ray_rhs_factory(field_: PsiField):
-    u, ux, _ = field_._u_ux_v_here()
-    x = field_.x
-    u2 = u * u
+def _integrate(rhs, t0: float, t1: float, y0: np.ndarray, tol: float) -> np.ndarray:
+    """scipy's DOP853 from t0 to t1 for complex array state, at rtol = atol = tol.
 
-    def bmat(lam):
-        b11 = -2j * u2
-        b12 = 4j * lam * u - 2.0 * ux
-        b21 = -4j * lam * u - 2.0 * ux
-        b22 = 8j * lam ** 2 + 2j * x + 2j * u2
-        return b11, b12, b21, b22
+    The right-hand side is called as rhs(t, y).  Raises StiffnessError at
+    the last accepted t when the solver gives up (its step underflows).
+    """
+    from scipy.integrate import solve_ivp
 
-    return bmat
+    res = solve_ivp(rhs, (t0, t1), np.asarray(y0, dtype=complex), method="DOP853",
+                    rtol=tol, atol=tol)
+    if res.status != 0:
+        raise StiffnessError(float(res.t[-1]))
+    return res.y[:, -1]
 
 
 def psi_column_ray(field_: PsiField, lam: float, R: float = 8.0,
                    path: str = "dogleg", tol: float = 1e-13) -> PhaseExtractedColumn:
     """Phase-extracted column integrated along rays in the spectral plane.
 
-    Starts at lambda0 = iR from the first-order far-field seed and follows
-    either the dog-leg iR -> 0 -> lam (default) or the straight segment
-    iR -> lam.  The result is entire in lambda, so the two paths must agree;
-    the suite checks that.  Seed bias is O(R^-2): good for property tests,
-    not for production determinants (see module docstring).
+    Starts at lambda0 = iR (R finite and > 0) from the first-order far-field
+    seed and follows either the dog-leg iR -> 0 -> lam (default) or the
+    straight segment iR -> lam, each leg integrated by scipy's DOP853 at
+    rtol = atol = tol.  The result is entire in lambda, so the two paths
+    must agree; the suite checks that.  Seed bias is O(R^-2): good for
+    property tests, not for production determinants (see module docstring).
 
-    The local tolerance sits below the x-march's because error accumulates
-    over a leg of length ~R where the phase turns at rate 8 lambda^2; the
-    two-path agreement degrades roughly linearly in tol.
+    The tolerance sits below the x-march's because error accumulates over a
+    leg of length ~R where the phase turns at rate 8 lambda^2.
     """
     _check_lams(lam)
     if path not in ("dogleg", "direct"):
         raise ValueError(f"unknown path {path!r}")
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError(f"seed radius R = {R} must be finite and positive")
     u, ux, v = field_._u_ux_v_here()
+    x = field_.x
+    u2 = u * u
     lam0 = 1j * R
     y = np.array([1.0 - 1j * v / (2.0 * lam0), u / (2.0 * lam0)], dtype=complex)
-    bmat = _ray_rhs_factory(field_)
 
     legs = [(lam0, 0.0 + 0j), (0.0 + 0j, complex(lam))] if path == "dogleg" \
         else [(lam0, complex(lam))]
@@ -462,14 +406,14 @@ def psi_column_ray(field_: PsiField, lam: float, R: float = 8.0,
         d = b - a
 
         def rhs(tau, yy, a=a, d=d):
-            b11, b12, b21, b22 = bmat(a + tau * d)
-            return np.array([
-                d * (b11 * yy[0] + b12 * yy[1]),
-                d * (b21 * yy[0] + b22 * yy[1]),
-            ])
+            mu = a + tau * d
+            b12 = 4j * mu * u - 2.0 * ux
+            b21 = -4j * mu * u - 2.0 * ux
+            b22 = 8j * mu ** 2 + 2j * x + 2j * u2
+            return d * np.array([-2j * u2 * yy[0] + b12 * yy[1], b21 * yy[0] + b22 * yy[1]])
 
         y = _integrate(rhs, 0.0, 1.0, y, tol)
 
-    th = _theta(lam, field_.x)
+    th = _theta(lam, x)
     return PhaseExtractedColumn(lam=float(lam), phi1=complex(y[0]),
                                 phi2=complex(y[1]), theta=complex(th))

@@ -97,6 +97,8 @@ def test_usage_errors(capsys):
     assert main(["det", "--kernel", "sine", "--s", "9.0"]) == EXIT_USAGE
     assert main(["verify", "--formula", "dyson", "--s", "-1.0"]) == EXIT_USAGE
     assert main(["dump", "--what", "everything"]) == EXIT_USAGE
+    assert main(["dump", "--what", "psi", "--psi-R", "0"]) == EXIT_USAGE
+    assert main(["dump", "--what", "psi", "--psi-R", "-8"]) == EXIT_USAGE
     capsys.readouterr()
 
 

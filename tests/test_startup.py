@@ -2,7 +2,8 @@
 
 The sine and cubic-sine kernels need numpy alone; ``scipy.special``,
 ``scipy.interpolate`` and ``scipy.linalg`` are imported at the first Airy
-call or Hastings-McLeod solve.  Each check runs in a fresh interpreter, so
+call or Hastings-McLeod solve, and ``scipy.integrate`` only by the lambda-ray
+cross-check route.  Each check runs in a fresh interpreter, so
 nothing an earlier test imported can hide a module-level import.
 """
 
@@ -16,12 +17,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY = ("scipy.special", "scipy.interpolate", "scipy.linalg")
+PROBED = SCIPY + ("scipy.integrate",)
 
 
 def _loaded_after(code: str) -> list:
     # the module list is the last line printed, after anything the code prints
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps(sorted(m for m in {SCIPY!r} if m in sys.modules)))")
+             f"print(json.dumps(sorted(m for m in {PROBED!r} if m in sys.modules)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
