@@ -2,7 +2,7 @@
 Column solves and the three kernels
 ===================================
 
-Marches the phase-extracted columns across the spectral window, then
+Marches the columns psi = [psi11, psi21] across the spectral window, then
 evaluates all three kernels on a small grid to show how the rank-structured
 one collapses onto the cubic trig kernel when the potential dies off.
 """
@@ -25,13 +25,23 @@ sol = solve_hm()
 # --- one column, inspected --------------------------------------------------
 
 field = PsiField(x=1.0, hm=sol)
-col = psi_column(field, 0.75)
-print("lambda = %.2f, x = %.1f" % (col.lam, field.x))
-print("  phi1 =", col.phi1)
-print("  phi2 =", col.phi2)
-print("  |psi11| = %.6f  (phase-extracted, so equal to |phi1|)" % abs(col.psi11))
+lam = 0.75
+psi11, psi21 = psi_column(field, lam)
+print("lambda = %.2f, x = %.1f" % (lam, field.x))
+print("  psi11 =", psi11)
+print("  psi21 =", psi21)
+print("  |psi11| = %.6f, |psi21| = %.6f  (equal: the pairing below)" % (abs(psi11), abs(psi21)))
 print("  conj(psi21) - i psi11 = %.2e  (the pairing the kernel relies on)"
-      % abs(np.conj(col.psi21) - 1j * col.psi11))
+      % abs(np.conj(psi21) - 1j * psi11))
+print()
+
+# --- a batch of columns: one march, one row per lambda ------------------------
+
+lams = np.linspace(-2.0, 2.0, 9)
+cols = psi_columns(field, lams)
+print("batch of %d columns, array shape %s" % (len(lams), cols.shape))
+print("  max |conj(psi21) - i psi11| over the batch = %.2e"
+      % np.max(np.abs(np.conj(cols[:, 1]) - 1j * cols[:, 0])))
 print()
 
 # --- kernel grids -------------------------------------------------------------

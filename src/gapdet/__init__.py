@@ -55,7 +55,6 @@ from .painleve2 import (
     v_at,
 )
 from .psi import (
-    PhaseExtractedColumn,
     PsiField,
     StiffnessError,
     psi_column,
@@ -83,7 +82,6 @@ __all__ = [
     "NewtonConvergenceError",
     "NewtonDivergenceError",
     "PII",
-    "PhaseExtractedColumn",
     "PsiField",
     "QuadratureRule",
     "Sine",

@@ -305,10 +305,7 @@ def cmd_dump(cfg: RunConfig) -> tuple:
             cols = [psi_column_ray(field, float(v), R=cfg.psi_r) for v in lams]
         else:
             cols = psi_columns(field, lams)
-        rows = [
-            (c.lam, c.psi11.real, c.psi11.imag, c.psi21.real, c.psi21.imag)
-            for c in cols
-        ]
+        rows = [(lam, a.real, a.imag, b.real, b.imag) for lam, (a, b) in zip(lams, cols)]
         header = ("lambda", "re_psi11", "im_psi11", "re_psi21", "im_psi21")
         return _render(cfg, header, rows), True
 

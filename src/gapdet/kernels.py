@@ -22,10 +22,12 @@ numerically:
 
 * The column-based kernel is assembled from exactly antisymmetric
   numerator and denominator arrays, so the value matrix is exactly
-  symmetric; its imaginary part must vanish identically (the transport
-  preserves conj(psi21) = i psi11 to the last bit) and anything above
-  1e-7, off or on the diagonal, raises KernelIntegrityError, flagging a
-  transport fault rather than being silently dropped.
+  symmetric.  Its imaginary part is rounding: the transport keeps
+  conj(psi21) = i psi11 to one rounding, and off the diagonal it measures
+  at most 4.7e-14 for x in {-1, 0, 1}, s in {1.0, 1.8, 2.4}, n = 128.
+  Anything above 1e-7, off or on the diagonal, raises
+  KernelIntegrityError, flagging a transport fault rather than being
+  silently dropped.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ class Sine:
 
     x: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise ValueError(f"x = {self.x} must be finite")
+
 
 @dataclass(frozen=True)
 class CubicSine:
@@ -78,6 +84,8 @@ class CubicSine:
     def __post_init__(self):
         if not 0.0 <= self.t <= 1.0:
             raise ValueError(f"t = {self.t} outside [0, 1]")
+        if not math.isfinite(self.x):
+            raise ValueError(f"x = {self.x} must be finite")
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,7 @@ def _real(vals: np.ndarray, where: str) -> np.ndarray:
 def _columns_and_diagonal(field: PsiField, lams: np.ndarray):
     """psi11, psi21 at lams, and K(lambda, lambda) there from the lambda-equation."""
     cols = psi_columns(field, lams)
-    a = np.array([c.psi11 for c in cols])
-    b = np.array([c.psi21 for c in cols])
+    a, b = cols[:, 0], cols[:, 1]
     d1, d2 = _lambda_derivative(field, lams, a, b)
     return a, b, (d2 * a - d1 * b) / _TWO_PI
 

@@ -341,13 +341,19 @@ class ExtendedReal:
 # Gauss-Legendre rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Gauss-Legendre nodes and weights on [-1, 1] in double-double.
 
-    ``nodes`` are strictly increasing; the node/weight sets are exactly
-    symmetric under x -> -x because only the positive half is computed and
-    the rest is mirrored.
+    ``nodes`` and ``weights`` are read-only (hi, lo) ndarray pairs.  The
+    nodes are strictly increasing; the node/weight sets are exactly
+    symmetric under x -> -x because only the non-negative half is computed
+    and the rest is mirrored.
     """
 
     order: int
@@ -356,59 +362,43 @@ class QuadratureRule:
 
     def nodes_dd(self):
         """Nodes as a (hi, lo) ndarray pair."""
-        return (
-            np.array([v.hi for v in self.nodes]),
-            np.array([v.lo for v in self.nodes]),
-        )
+        return self.nodes
 
     def weights_dd(self):
-        return (
-            np.array([v.hi for v in self.weights]),
-            np.array([v.lo for v in self.weights]),
-        )
+        return self.weights
 
     @property
     def nodes_f8(self) -> np.ndarray:
-        return np.array([v.hi + v.lo for v in self.nodes])
+        return _frozen(self.nodes[0] + self.nodes[1])
 
     @property
     def weights_f8(self) -> np.ndarray:
-        return np.array([v.hi + v.lo for v in self.weights])
+        return _frozen(self.weights[0] + self.weights[1])
 
 
-def _legendre_pair(n: int, xh, xl):
-    """P_n and P_{n-1} at dd abscissae, all arithmetic in dd."""
-    p0h = np.ones_like(xh)
-    p0l = np.zeros_like(xh)
-    p1h, p1l = xh.copy(), xl.copy()
-    if n == 1:
-        return (p1h, p1l), (p0h, p0l)
+def _legendre_dd(n: int, xh, xl):
+    """P_n, P_n' and 1 - x^2 at dd abscissae, all arithmetic in dd."""
+    ph, pl = xh, xl                                  # P_1
+    qh, ql = np.ones_like(xh), np.zeros_like(xh)     # P_0
     for j in range(1, n):
         # (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}
-        th, tl = dd_mul(xh, xl, p1h, p1l)
+        th, tl = dd_mul(xh, xl, ph, pl)
         th, tl = dd_mul_f(th, tl, 2.0 * j + 1.0)
-        sh, sl = dd_mul_f(p0h, p0l, float(j))
-        th, tl = dd_sub(th, tl, sh, sl)
-        th, tl = dd_div_f(th, tl, j + 1.0)
-        p0h, p0l = p1h, p1l
-        p1h, p1l = th, tl
-    return (p1h, p1l), (p0h, p0l)
-
-
-def _legendre_pair_f8(n: int, x: np.ndarray):
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    if n == 1:
-        return p1, p0
-    for j in range(1, n):
-        p0, p1 = p1, ((2.0 * j + 1.0) * x * p1 - j * p0) / (j + 1.0)
-    return p1, p0
+        th, tl = dd_sub(th, tl, *dd_mul_f(qh, ql, float(j)))
+        qh, ql = ph, pl
+        ph, pl = dd_div_f(th, tl, j + 1.0)
+    # P_n' = n (P_{n-1} - x P_n) / (1 - x^2)
+    omh, oml = dd_sub(np.ones_like(xh), np.zeros_like(xh), *dd_mul(xh, xl, xh, xl))
+    th, tl = dd_sub(qh, ql, *dd_mul(xh, xl, ph, pl))
+    dph, dpl = dd_div(*dd_mul_f(th, tl, float(n)), omh, oml)
+    return (ph, pl), (dph, dpl), (omh, oml)
 
 
 def gauss_legendre(n: int) -> QuadratureRule:
     """Build the order-n Gauss-Legendre rule on [-1, 1].
 
-    Roots start from the cosine guesses cos(pi (k + 3/4) / (n + 1/2)),
+    The non-negative roots start from the cosine guesses
+    cos(pi (k + 3/4) / (n + 1/2)), an odd n's middle one from exactly 0,
     converge in binary64 Newton, then take two guard Newton steps in
     double-double.  Weights are 2 / ((1 - x^2) P_n'(x)^2) in dd.
     """
@@ -416,19 +406,18 @@ def gauss_legendre(n: int) -> QuadratureRule:
         raise TypeError("order must be an integer")
     if not 1 <= n <= 2000:
         raise ValueError(f"order {n} outside [1, 2000]")
-    if n == 1:
-        return QuadratureRule(1, (ExtendedReal(0.0),), (ExtendedReal(2.0),))
 
-    m = n // 2  # strictly positive roots; an odd n adds the exact zero root
-    k = np.arange(m, dtype=float)
-    x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
+    m = n // 2
+    x = np.cos(np.pi * (np.arange(n - m, dtype=float) + 0.75) / (n + 0.5))
+    x[m:] = 0.0  # an odd n's middle root, exactly; empty for an even n
 
     # binary64 pre-convergence
-    for it in range(100):
-        pn, pnm1 = _legendre_pair_f8(n, x)
-        dp = n * (pnm1 - x * pn) / (1.0 - x * x)
-        dx = pn / dp
-        x -= dx
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2.0 * j + 1.0) * x * p1 - j * p0) / (j + 1.0)
+        dx = p1 / (n * (p0 - x * p1) / (1.0 - x * x))
+        x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
     else:
@@ -437,44 +426,17 @@ def gauss_legendre(n: int) -> QuadratureRule:
     # two dd guard iterations
     xh, xl = x, np.zeros_like(x)
     for _ in range(2):
-        (pnh, pnl), (pm1h, pm1l) = _legendre_pair(n, xh, xl)
-        th, tl = dd_mul(xh, xl, pnh, pnl)
-        th, tl = dd_sub(pm1h, pm1l, th, tl)
-        dph, dpl = dd_mul_f(th, tl, float(n))
-        x2h, x2l = dd_mul(xh, xl, xh, xl)
-        omh, oml = dd_sub(np.ones_like(xh), np.zeros_like(xh), x2h, x2l)
-        dph, dpl = dd_div(dph, dpl, omh, oml)
-        dxh, dxl = dd_div(pnh, pnl, dph, dpl)
-        xh, xl = dd_sub(xh, xl, dxh, dxl)
+        (pnh, pnl), (dph, dpl), _ = _legendre_dd(n, xh, xl)
+        xh, xl = dd_sub(xh, xl, *dd_div(pnh, pnl, dph, dpl))
 
-    # weights on the positive half
-    (pnh, pnl), (pm1h, pm1l) = _legendre_pair(n, xh, xl)
-    th, tl = dd_mul(xh, xl, pnh, pnl)
-    th, tl = dd_sub(pm1h, pm1l, th, tl)
-    dph, dpl = dd_mul_f(th, tl, float(n))
-    x2h, x2l = dd_mul(xh, xl, xh, xl)
-    omh, oml = dd_sub(np.ones_like(xh), np.zeros_like(xh), x2h, x2l)
-    dph, dpl = dd_div(dph, dpl, omh, oml)
-    dp2h, dp2l = dd_mul(dph, dpl, dph, dpl)
-    den_h, den_l = dd_mul(omh, oml, dp2h, dp2l)
+    _, (dph, dpl), (omh, oml) = _legendre_dd(n, xh, xl)
+    den_h, den_l = dd_mul(omh, oml, *dd_mul(dph, dpl, dph, dpl))
     wh, wl = dd_div(2.0 * np.ones_like(xh), np.zeros_like(xh), den_h, den_l)
 
-    pos = [ExtendedReal(float(a), float(b)) for a, b in zip(xh, xl)]
-    wts = [ExtendedReal(float(a), float(b)) for a, b in zip(wh, wl)]
-
-    nodes = [-v for v in pos] + ([ExtendedReal(0.0)] if n % 2 else []) + list(reversed(pos))
-    weights = list(wts)
-    if n % 2:
-        # central weight from the same formula at x = 0 in dd
-        zh = np.zeros(1)
-        (p0h, p0l), (q0h, q0l) = _legendre_pair(n, zh, zh.copy())
-        d0h, d0l = dd_mul_f(q0h, q0l, float(n))  # P' (0) = n P_{n-1}(0) since x = 0
-        d2h, d2l = dd_mul(d0h, d0l, d0h, d0l)
-        w0h, w0l = dd_div(2.0 * np.ones(1), np.zeros(1), d2h, d2l)
-        weights = weights + [ExtendedReal(float(w0h[0]), float(w0l[0]))]
-    weights = weights + list(reversed(wts))
-
-    return QuadratureRule(n, tuple(nodes), tuple(weights))
+    # the half runs from the largest root down; mirror it without a second 0
+    nodes = tuple(_frozen(np.concatenate([-a[:m], a[::-1]])) for a in (xh, xl))
+    weights = tuple(_frozen(np.concatenate([a[:m], a[::-1]])) for a in (wh, wl))
+    return QuadratureRule(n, nodes, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -137,21 +137,23 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
              _u0: Optional[np.ndarray] = None) -> HastingsMcLeodSolution:
     """Solve the positive-branch boundary-value problem on [x_left, x_right].
 
-    ``x_left <= -8``, ``6 <= x_right <= 40`` and ``0 < h <= 1/100`` are
-    required; h is nudged so the window divides evenly.  ``_u0`` overrides
-    the initial guess and exists for the failure-path tests.
+    ``-40 <= x_left <= -8``, ``6 <= x_right <= 40`` and ``1e-4 <= h <=
+    1/100`` are required; h is nudged so the window divides evenly.  From
+    h = 2.5e-4 down the residual floor passes the accepted 1e-8 and Newton
+    ends in NewtonDivergenceError.  ``_u0`` overrides the initial guess and
+    exists for the failure-path tests.
 
     Raises NewtonDivergenceError when the residual grows five iterations in
     a row and WrongBranchError when the iterate leaves u > 0.
     """
     from scipy.linalg import solve_banded
 
-    if x_left > -8.0:
-        raise ValueError(f"x_left = {x_left} must be <= -8")
+    if not -40.0 <= x_left <= -8.0:
+        raise ValueError(f"x_left = {x_left} must lie in [-40, -8]")
     if not 6.0 <= x_right <= 40.0:
         raise ValueError(f"x_right = {x_right} must lie in [6, 40]")
-    if not 0.0 < h <= 0.01:
-        raise ValueError(f"h = {h} must lie in (0, 1/100]")
+    if not 1e-4 <= h <= 0.01:
+        raise ValueError(f"h = {h} must lie in [1e-4, 1/100]")
 
     n_steps = int(round((x_right - x_left) / h))
     h = (x_right - x_left) / n_steps

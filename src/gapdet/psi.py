@@ -25,9 +25,9 @@ to a cap, so at x = 0 about 15% of the 255 steps lie above x = 6.  Every
 step's matrix exp(Omega) is formed in closed form for all lambdas at
 once, and the matrices are multiplied in a tree.  Omega lies in su(1,1),
 so each transfer matrix is [[p, q], [conj q, conj p]] with unit
-determinant, and carrying only (p, q) keeps conj(psi21) = i psi11 to the
-last bit (which is what makes the downstream kernel exactly real).  For
-real lambda both fundamental solutions have constant modulus, so the
+determinant, and carrying only (p, q) keeps conj(psi21) = i psi11 to one
+rounding, <= 5e-16 (which is what keeps the downstream kernel real).
+For real lambda both fundamental solutions have constant modulus, so the
 march is neutrally stable.  At the default tol the columns agree with
 an eighth-order DOP853 march to a few 1e-13 for x >= -1 and |lambda| <=
 2.4, and the march's own error falls in proportion to tol.
@@ -42,7 +42,8 @@ expansion is not available in closed form from the inputs we keep), which
 is harmless for cross-checks and large x but too coarse for determinants
 whose top eigenvalue sits within 1e-8 of 1.  It is retained as
 psi_column_ray for path-independence and convergence tests; psi_column is
-the x-march.
+the x-march.  Both return psi itself: the ray route multiplies its phi by
+e^{-i theta} once, at the end.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .painleve2 import HastingsMcLeodSolution, v_at
 from .specfun import airy_ai
 
 __all__ = [
-    "PhaseExtractedColumn",
     "PsiField",
     "StiffnessError",
     "psi_column",
@@ -74,28 +74,6 @@ class StiffnessError(RuntimeError):
     def __init__(self, position):
         self.position = position
         super().__init__(f"step size underflow at path position {position}")
-
-
-@dataclass(frozen=True)
-class PhaseExtractedColumn:
-    """phi = psi * e^{i theta} for the first column, with its phase.
-
-    For real lambda the phase factor is unimodular, so |psi| = |phi|
-    componentwise; psi11 and psi21 are reconstructed on demand.
-    """
-
-    lam: float
-    phi1: complex
-    phi2: complex
-    theta: complex
-
-    @property
-    def psi11(self) -> complex:
-        return self.phi1 * np.exp(-1j * self.theta)
-
-    @property
-    def psi21(self) -> complex:
-        return self.phi2 * np.exp(-1j * self.theta)
 
 
 @dataclass(eq=False)
@@ -159,10 +137,6 @@ _CHUNK = 32         # steps whose matrices are formed and multiplied at once
 # 1/(2k)! and 1/(2k+1)!, k = 7..0, for cosh(r) and sinh(r)/r in powers of r^2
 _COSH = [1.0 / math.factorial(2 * k) for k in range(7, -1, -1)]
 _SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(7, -1, -1)]
-
-
-def _theta(lam, x):
-    return (4.0 / 3.0) * lam ** 3 + x * lam
 
 
 def _grid(field_: PsiField) -> np.ndarray:
@@ -281,8 +255,12 @@ def _check_lams(lams) -> np.ndarray:
     return lams
 
 
-def psi_columns(field_: PsiField, lams) -> list:
+def psi_columns(field_: PsiField, lams) -> np.ndarray:
     """Columns at many lambdas, marched together and cached.
+
+    Returns a complex array of shape (m, 2) whose rows are [psi11, psi21];
+    an empty request gives shape (0, 2).  ``field_.cache`` maps each exact
+    lambda to the row ``_march`` produced for it.
 
     The field's one Magnus grid serves every batch and the work of each
     step is vectorised over lambdas, so much of a march's cost is per
@@ -295,21 +273,12 @@ def psi_columns(field_: PsiField, lams) -> list:
     lams = [float(v) for v in _check_lams(lams)]
     missing = list(dict.fromkeys(lam for lam in lams if lam not in field_.cache))
     if missing:
-        ys = _march(field_, np.array(missing), want_matrix=False)
-        th = _theta(np.array(missing), field_.x)
-        phase = np.exp(1j * th)
-        for i, lam in enumerate(missing):
-            field_.cache[lam] = PhaseExtractedColumn(
-                lam=lam,
-                phi1=complex(ys[i, 0] * phase[i]),
-                phi2=complex(ys[i, 1] * phase[i]),
-                theta=complex(th[i]),
-            )
-    return [field_.cache[lam] for lam in lams]
+        field_.cache.update(zip(missing, _march(field_, np.array(missing), want_matrix=False)))
+    return np.array([field_.cache[lam] for lam in lams], dtype=complex).reshape(-1, 2)
 
 
-def psi_column(field_: PsiField, lam: float) -> PhaseExtractedColumn:
-    """Column at one lambda (|lambda| <= 4), from the cache when present."""
+def psi_column(field_: PsiField, lam: float) -> np.ndarray:
+    """[psi11, psi21] at one lambda (|lambda| <= 4), from the cache when present."""
     return psi_columns(field_, [lam])[0]
 
 
@@ -334,13 +303,12 @@ def psi_column_derivative(field_: PsiField, lam):
     The columns come through ``psi_columns``, so this costs one cache lookup
     after the first call.
     """
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    cols = psi_columns(field_, lams)
+    d1, d2 = _lambda_derivative(field_, lams, cols[:, 0], cols[:, 1])
     if np.ndim(lam) == 0:
-        col = psi_column(field_, lam)
-        return _lambda_derivative(field_, lam, col.psi11, col.psi21)
-    cols = psi_columns(field_, lam)
-    return _lambda_derivative(field_, np.asarray(lam, dtype=float),
-                              np.array([c.psi11 for c in cols]),
-                              np.array([c.psi21 for c in cols]))
+        return complex(d1[0]), complex(d2[0])
+    return d1, d2
 
 
 def psi_det(field_: PsiField, lam: float) -> complex:
@@ -374,8 +342,8 @@ def _integrate(rhs, t0: float, t1: float, y0: np.ndarray, tol: float) -> np.ndar
 
 
 def psi_column_ray(field_: PsiField, lam: float, R: float = 8.0,
-                   path: str = "dogleg", tol: float = 1e-13) -> PhaseExtractedColumn:
-    """Phase-extracted column integrated along rays in the spectral plane.
+                   path: str = "dogleg", tol: float = 1e-13) -> np.ndarray:
+    """[psi11, psi21] integrated along rays in the spectral plane.
 
     Starts at lambda0 = iR (R finite and > 0) from the first-order far-field
     seed and follows either the dog-leg iR -> 0 -> lam (default) or the
@@ -414,6 +382,4 @@ def psi_column_ray(field_: PsiField, lam: float, R: float = 8.0,
 
         y = _integrate(rhs, 0.0, 1.0, y, tol)
 
-    th = _theta(lam, x)
-    return PhaseExtractedColumn(lam=float(lam), phi1=complex(y[0]),
-                                phi2=complex(y[1]), theta=complex(th))
+    return y * np.exp(-1j * ((4.0 / 3.0) * lam ** 3 + x * lam))

@@ -12,7 +12,6 @@ from gapdet import (
     DetEvaluation,
     DetIntegrityError,
     PII,
-    PhaseExtractedColumn,
     PsiField,
     Sine,
     dlogdet_ds,
@@ -171,12 +170,8 @@ def test_pii_ladder_against_the_shooting_oracle(hm, shooting_hm, dop853_columns)
         oracle = PsiField(x=x, hm=shooting_hm)
         lams = s * gauss_legendre(256).nodes_f8
         psi11, psi21 = dop853_columns(oracle, lams)
-        theta = (4.0 / 3.0) * lams**3 + x * lams
-        phase = np.exp(1j * theta)
-        for i, lam in enumerate(lams):
-            oracle.cache[float(lam)] = PhaseExtractedColumn(
-                lam=float(lam), phi1=complex(psi11[i] * phase[i]),
-                phi2=complex(psi21[i] * phase[i]), theta=complex(theta[i]))
+        for lam, row in zip(lams, np.stack([psi11, psi21], axis=1)):
+            oracle.cache[float(lam)] = row
         want = log_det(PII(x=x, field=oracle), s, 256)
         assert len(oracle.cache) == 256
         errors[x, s] = abs(float(ev.log_det) - float(want.log_det))

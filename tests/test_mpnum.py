@@ -167,6 +167,11 @@ def test_rule_structure(n):
     assert np.array_equal(wh, wh[::-1]) and np.array_equal(wl, wl[::-1])
     if n % 2 == 1:
         assert nh[n // 2] == 0.0 and nl[n // 2] == 0.0
+        assert not np.signbit(nh[n // 2]) and not np.signbit(nl[n // 2])
+    # rules are shared through a cache, so every array they hand out is read-only
+    for a in (r.nodes_f8, r.weights_f8, nh, nl, wh, wl):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
     assert np.all(np.diff(r.nodes_f8) > 0)
     assert np.all(r.weights_f8 > 0)
     assert np.array_equal(r.nodes_f8, nh) and np.array_equal(r.weights_f8, wh)

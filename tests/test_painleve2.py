@@ -126,6 +126,12 @@ def test_window_and_step_validation():
         solve_hm(h=0.1)
     with pytest.raises(ValueError):
         solve_hm(h=-0.002)
+    # the window and step have floors too; none of these reaches the grid
+    for x_left in (-np.inf, np.nan, -41.0):
+        with pytest.raises(ValueError):
+            solve_hm(x_left=x_left)
+    with pytest.raises(ValueError):
+        solve_hm(h=5e-5)
 
 
 def test_evaluation_outside_window_rejected(hm):
