@@ -174,6 +174,8 @@ def _config(ns) -> RunConfig:
         kernel = _DEFAULT_KERNEL[formula] if formula else "sine"
     if not 0.0 <= ns.t <= 1.0:
         raise _UsageError(f"--t {ns.t} outside [0, 1]")
+    if ns.tol is not None and not 0.0 <= ns.tol < np.inf:
+        raise _UsageError(f"--tol {ns.tol} must be finite and non-negative")
     return RunConfig(
         command=ns.command,
         kernel=kernel,

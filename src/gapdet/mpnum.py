@@ -187,11 +187,13 @@ def dd_exp(ah, al):
     rh, rl = dd_add(ah, al, *dd_mul_f(_LN2_HI, _LN2_LO, -k))
     # scale by 2**-9 exactly
     rh, rl = rh / 512.0, rl / 512.0
-    # Taylor sum of exp(r) - degree 20 is overkill after the reduction
+    # Taylor sum of exp(r) to degree 10: |r| <= 6.8e-4 after the reduction,
+    # so the first omitted term, r^11 / 11! < 4e-43, is far below the
+    # double-double resolution of ~1e-32
     sh = np.ones_like(rh) if isinstance(rh, np.ndarray) else 1.0
     sl = np.zeros_like(rh) if isinstance(rh, np.ndarray) else 0.0
     th, tl = sh, sl
-    for j in range(1, 21):
+    for j in range(1, 11):
         th, tl = dd_mul(th, tl, rh, rl)
         th, tl = dd_div_f(th, tl, float(j))
         sh, sl = dd_add(sh, sl, th, tl)

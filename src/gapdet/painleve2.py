@@ -5,11 +5,16 @@ left.  A damped Newton iteration on the Numerov discretisation solves the
 two-point problem to fourth order in h: with f = x u + 2 u^3 the interior
 equations are (u[i-1] - 2 u[i] + u[i+1]) / h^2 = (f[i-1] + 10 f[i] +
 f[i+1]) / 12, and the Jacobian stays tridiagonal.  At the default h, u(0)
-agrees with the published 0.3670615515480784 to 1e-15.  Derivatives come
-from fourth-order stencils on the converged grid, and v = (u_x)^2 - x u^2 -
-u^4 is formed pointwise.  The auxiliary quantity v shows up in the
-logarithmic-derivative expansions and in the far-field initialization of
-the linear system solved in psi.py.
+agrees with the published 0.3670615515480784 to 1e-15.  u_x comes from
+fourth-order stencils on the converged grid.
+
+Between grid nodes u and u_x are cubic Hermite interpolants on the
+uniform grid: u from the node values (u, u_x), and u_x from (u_x, u_xx),
+where u_xx = x u + 2 u^3 is read off the equation itself.  Both are
+fourth order in h, and each node returns its stored values.
+v = (u_x)^2 - x u^2 - u^4 is formed pointwise from the two.  The auxiliary
+quantity v shows up in the logarithmic-derivative expansions and in the
+far-field initialization of the linear system solved in psi.py.
 
 Accuracy notes.  The left boundary uses only the leading asymptote, so a
 ~1e-3 truncation error lives in a boundary layer near x_left; keep working
@@ -19,22 +24,19 @@ stored value already moves it that much), which is ~4e-10 at the default
 h = 0.002; the Newton loop therefore targets 1e-10 but accepts a stall
 anywhere below 1e-8.
 
-``scipy.linalg`` and ``scipy.interpolate`` are imported inside ``solve_hm``
-and the solution's constructor, so importing gapdet does not load them.
+``scipy.linalg`` is imported inside ``solve_hm``, so importing gapdet does
+not load it; evaluating a solution needs numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .mpnum import gauss_legendre
 from .specfun import airy_ai, airy_ai_prime
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "HastingsMcLeodSolution",
@@ -66,9 +68,12 @@ class WrongBranchError(RuntimeError):
 
 @dataclass(frozen=True)
 class HastingsMcLeodSolution:
-    """Grid representation of u, u_x and v on [x_left, x_right].
+    """u, u_x and v on a uniform grid of step h over [x_left, x_right].
 
-    Immutable once built; the cubic interpolants are constructed eagerly.
+    Immutable.  Between nodes, u and u_x are cubic Hermite interpolants
+    whose node slopes are u_x and u_xx = x u + 2 u^3 (module docstring), so
+    the grid must be uniform: the constructor checks that x[i] = x_left +
+    i h.
     """
 
     x_left: float
@@ -80,16 +85,18 @@ class HastingsMcLeodSolution:
     v: np.ndarray
     residual: float
     iterations: int
-    _u_spline: CubicSpline = field(repr=False, compare=False, default=None)
-    _ux_spline: CubicSpline = field(repr=False, compare=False, default=None)
-    _v_spline: CubicSpline = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        from scipy.interpolate import CubicSpline
-
-        object.__setattr__(self, "_u_spline", CubicSpline(self.x, self.u))
-        object.__setattr__(self, "_ux_spline", CubicSpline(self.x, self.u_x))
-        object.__setattr__(self, "_v_spline", CubicSpline(self.x, self.v))
+        n = len(self.x)
+        if n < 2 or not len(self.u) == len(self.u_x) == len(self.v) == n:
+            raise ValueError("x, u, u_x and v must share one grid of at least two nodes")
+        drift = np.abs(self.x - (self.x_left + self.h * np.arange(n)))
+        if not (self.h > 0.0 and np.max(drift) <= 1e-9 * self.h
+                and abs(self.x[-1] - self.x_right) <= 1e-9 * self.h):
+            raise ValueError(
+                f"x is not the uniform grid of step h = {self.h} on "
+                f"[{self.x_left}, {self.x_right}]"
+            )
 
     def _check(self, x: float):
         if not self.x_left <= x <= self.x_right:
@@ -97,13 +104,39 @@ class HastingsMcLeodSolution:
                 f"x = {x} outside the solved window [{self.x_left}, {self.x_right}]"
             )
 
+    def _u_ux(self, xs):
+        """(u, u_x) at many abscissae by cubic Hermite interpolation.
+
+        u interpolates (u, u_x) and u_x interpolates (u_x, x u + 2 u^3) at
+        the ends of the grid interval holding each point.  The weights use
+        the point's distances to both ends, so a node returns its stored
+        values exactly.  Points outside the window extrapolate the end
+        interval's cubic; callers keep to the window.
+        """
+        xs = np.asarray(xs, dtype=float)
+        x, u, ux = self.x, self.u, self.u_x
+        i = np.clip(np.floor((xs - self.x_left) / self.h), 0, len(x) - 2).astype(np.intp)
+        x0, x1 = x[i], x[i + 1]
+        u0, u1, m0, m1 = u[i], u[i + 1], ux[i], ux[i + 1]
+        d = x1 - x0
+        s = (xs - x0) / d
+        t = (x1 - xs) / d
+        w0 = t * t * (1.0 + 2.0 * s)
+        w1 = s * s * (1.0 + 2.0 * t)
+        d0 = d * s * t * t
+        d1 = -d * s * s * t
+        a0 = x0 * u0 + 2.0 * u0 ** 3
+        a1 = x1 * u1 + 2.0 * u1 ** 3
+        return (w0 * u0 + w1 * u1 + d0 * m0 + d1 * m1,
+                w0 * m0 + w1 * m1 + d0 * a0 + d1 * a1)
+
     def u_at(self, x: float) -> float:
         self._check(x)
-        return float(self._u_spline(x))
+        return float(self._u_ux(x)[0])
 
     def u_x_at(self, x: float) -> float:
         self._check(x)
-        return float(self._ux_spline(x))
+        return float(self._u_ux(x)[1])
 
 
 def _initial_guess(x: np.ndarray) -> np.ndarray:
@@ -222,9 +255,10 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
 
 
 def v_at(sol: HastingsMcLeodSolution, x: float) -> float:
-    """Cubic interpolation of v = (u_x)^2 - x u^2 - u^4 at x."""
+    """v = (u_x)^2 - x u^2 - u^4 at x, from the interpolated u and u_x."""
     sol._check(x)
-    return float(sol._v_spline(x))
+    u, ux = sol._u_ux(x)
+    return float(ux * ux - x * u * u - u ** 4)
 
 
 _GL24 = None
@@ -255,21 +289,20 @@ def _airy_tail_moment(big_x: float, x: float) -> float:
 def tw_integral(sol: HastingsMcLeodSolution, x: float) -> float:
     """integral over [x, inf) of (y - x) u(y)^2 dy.
 
-    Composite Gauss quadrature over [x, x_right] on the interpolated u plus
-    the closed-form Airy tail; the window edges are excluded because the
-    boundary layers there are not trustworthy.
+    Composite Gauss quadrature over [x, x_right] on the interpolated u,
+    every panel's nodes in one evaluation, plus the closed-form Airy tail;
+    the window edges are excluded because the boundary layers there are
+    not trustworthy.
     """
     if not sol.x_left + 1.0 <= x <= sol.x_right - 1.0:
         raise ValueError(
             f"x = {x} outside [{sol.x_left + 1.0}, {sol.x_right - 1.0}]"
         )
     nodes, weights = _gl24()
-    total = 0.0
     n_panels = max(1, int(np.ceil((sol.x_right - x) / 2.0)))
     edges = np.linspace(x, sol.x_right, n_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-        y = mid + rad * nodes
-        uy = sol._u_spline(y)
-        total += rad * float(np.sum(weights * (y - x) * uy * uy))
-    return float(total + _airy_tail_moment(sol.x_right, x))
+    mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    y = mid[:, None] + rad[:, None] * nodes
+    uy = sol._u_ux(y)[0]
+    body = np.sum(rad * np.sum(weights * (y - x) * uy * uy, axis=1))
+    return float(body + _airy_tail_moment(sol.x_right, x))

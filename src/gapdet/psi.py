@@ -109,13 +109,14 @@ class PsiField:
             )
 
     def _u(self, xs: np.ndarray) -> np.ndarray:
-        """u at many abscissae: the spline in the solved window, Ai beyond."""
+        """u at many abscissae: the Hermite interpolant in the solved window,
+        Ai beyond it, so the window's end cubic is never extrapolated."""
         if self.hm is None:
             return np.zeros_like(xs)
-        u = self.hm._u_spline(xs)
         far = xs > self.hm.x_right
-        if far.any():
-            u = np.where(far, airy_ai(np.minimum(xs, 40.0)), u)
+        u = np.empty_like(xs)
+        u[far] = airy_ai(np.minimum(xs[far], 40.0))
+        u[~far] = self.hm._u_ux(xs[~far])[0]
         return u
 
     def _u_ux_v_here(self):
@@ -202,7 +203,8 @@ def _march(field_: PsiField, lams: np.ndarray, want_matrix: bool) -> np.ndarray:
 
     The state is the rotation-free column phi = e^{i lambda x sigma3} psi of
     the module docstring, with phi' = [[0, w], [conj(w), 0]] phi,
-    w = i u e^{2 i lambda x}.  Each step's transfer matrix is formed for all
+    w = i u e^{2 i lambda x}.  One ``_u`` call samples u at the Gauss
+    points of every step.  Each step's transfer matrix is formed for all
     lambdas at once, _CHUNK steps at a time, the steps of a chunk are
     multiplied pairwise in a tree, and the chunk products are multiplied in
     march order.  Every operation is elementwise in lambda.  A transfer
@@ -217,13 +219,13 @@ def _march(field_: PsiField, lams: np.ndarray, want_matrix: bool) -> np.ndarray:
     """
     lams = np.asarray(lams, dtype=float)
     ends = _grid(field_)
+    steps = np.diff(ends)
+    gauss = ends[:-1, None] + steps[:, None] * _GAUSS3
+    u_gauss = field_._u(gauss.ravel()).reshape(gauss.shape)
     p = np.ones(len(lams), dtype=complex)
     q = np.zeros(len(lams), dtype=complex)
-    for k in range(0, len(ends) - 1, _CHUNK):
-        x0 = ends[k:k + _CHUNK + 1]
-        h = np.diff(x0)
-        xg = x0[:-1, None] + h[:, None] * _GAUSS3
-        u = field_._u(xg.ravel()).reshape(xg.shape)
+    for k in range(0, len(steps), _CHUNK):
+        h, xg, u = steps[k:k + _CHUNK], gauss[k:k + _CHUNK], u_gauss[k:k + _CHUNK]
         # w over its midpoint phase i e^{2 i lambda x}: e^{-+i (sqrt 15 / 5) lambda h}
         off = np.exp(1j * ((math.sqrt(15.0) / 5.0) * h[:, None] * lams))
         sp, sq = _step_matrices(h, u[:, 0, None] * np.conj(off), u[:, 1, None], u[:, 2, None] * off)

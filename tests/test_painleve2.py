@@ -1,5 +1,7 @@
 """The connection-problem boundary value solve and its integral functionals."""
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -84,6 +86,33 @@ def test_derivative_accessor_matches_finite_difference(hm):
     for x in (-3.0, 0.0, 2.5):
         fd = (hm.u_at(x + 1e-5) - hm.u_at(x - 1e-5)) / 2e-5
         assert abs(hm.u_x_at(x) - fd) <= 1e-7
+
+
+def test_hermite_profile_matches_cubic_splines_on_the_same_grid(hm):
+    # test-only reference: scipy's not-a-knot cubic splines through the nodes
+    from scipy.interpolate import CubicSpline
+
+    xs = np.random.default_rng(2012).uniform(-9.0, 7.0, 5000)
+    u, ux = hm._u_ux(xs)
+    v = np.array([v_at(hm, x) for x in xs])
+    assert np.max(np.abs(u - CubicSpline(hm.x, hm.u)(xs))) <= 1e-14
+    assert np.max(np.abs(ux - CubicSpline(hm.x, hm.u_x)(xs))) <= 1e-13
+    assert np.max(np.abs(v - CubicSpline(hm.x, hm.v)(xs))) <= 1e-13
+
+
+def test_hermite_profile_returns_the_stored_node_values(hm):
+    u, ux = hm._u_ux(hm.x)
+    assert np.array_equal(u, hm.u) and np.array_equal(ux, hm.u_x)
+    assert hm.u_at(hm.x_left) == hm.u[0] and hm.u_x_at(hm.x_right) == hm.u_x[-1]
+
+
+def test_non_uniform_grid_rejected(hm):
+    bent = hm.x.copy()
+    bent[4500] += 0.25 * hm.h
+    with pytest.raises(ValueError):
+        dataclasses.replace(hm, x=bent)
+    with pytest.raises(ValueError):
+        dataclasses.replace(hm, h=2.0 * hm.h)
 
 
 def test_v_is_the_squared_tail_mass(hm):
