@@ -459,6 +459,11 @@ class LogDetResult:
     pivot_min: ExtendedReal
 
 
+# Rows per slice of the rank-1 trailing update: its dozen temporaries then
+# hold at most _LU_ROWS rows, whatever n is.
+_LU_ROWS = 64
+
+
 def log_det_lu(matrix) -> LogDetResult:
     """log |det| and sign of a square float matrix by LU with partial
     pivoting in double-double.
@@ -495,10 +500,13 @@ def log_det_lu(matrix) -> LogDetResult:
         if k + 1 < n:
             mh, ml = dd_div(ah[k + 1:, k], al[k + 1:, k], ph, pl)
             rh, rl = ah[k, k + 1:], al[k, k + 1:]
-            uh, ul = dd_mul(mh[:, None], ml[:, None], rh[None, :], rl[None, :])
-            ah[k + 1:, k + 1:], al[k + 1:, k + 1:] = dd_sub(
-                ah[k + 1:, k + 1:], al[k + 1:, k + 1:], uh, ul
-            )
+            for i in range(k + 1, n, _LU_ROWS):
+                rows = slice(i, i + _LU_ROWS)
+                mrows = slice(i - k - 1, i - k - 1 + _LU_ROWS)
+                uh, ul = dd_mul(mh[mrows, None], ml[mrows, None], rh[None, :], rl[None, :])
+                ah[rows, k + 1:], al[rows, k + 1:] = dd_sub(
+                    ah[rows, k + 1:], al[rows, k + 1:], uh, ul
+                )
 
     # |pivot| flips both words by the sign of hi, as abs(ExtendedReal) does
     flip = np.where(piv_h < 0.0, -1.0, 1.0)

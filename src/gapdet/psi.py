@@ -76,6 +76,11 @@ class StiffnessError(RuntimeError):
         super().__init__(f"step size underflow at path position {position}")
 
 
+# No field lies left of here, on any Hastings-McLeod window: psi_det, which
+# should be 1, reads 1 + 5e-4 at x = -10 and 2.25 at x = -12 (lambda = 0, 0.5).
+_X_MIN = -10.0
+
+
 @dataclass(eq=False)
 class PsiField:
     """Evaluation context: the parameter x, the potential, and a column cache.
@@ -88,7 +93,8 @@ class PsiField:
     is elementwise in lambda, so a cached column does not depend, beyond
     about an ulp, on the batch that marched it.  A fresh field given the
     same requests reproduces every value bit for bit, which is why the CLI
-    gives each row its own.
+    gives each row its own.  x must be at least -10, even on a wider
+    window: further left the march loses psi_det = 1 at order 1.
     """
 
     x: float
@@ -107,6 +113,10 @@ class PsiField:
                 f"x = {self.x} outside the solved window "
                 f"[{self.hm.x_left}, {self.hm.x_right}]"
             )
+        if not self.x >= _X_MIN:
+            raise ValueError(
+                f"x = {self.x} below {_X_MIN}, left of which the march is not accurate"
+            )
 
     def _u(self, xs: np.ndarray) -> np.ndarray:
         """u at many abscissae: the Hermite interpolant in the solved window,
@@ -115,8 +125,9 @@ class PsiField:
             return np.zeros_like(xs)
         far = xs > self.hm.x_right
         u = np.empty_like(xs)
-        u[far] = airy_ai(np.minimum(xs[far], 40.0))
         u[~far] = self.hm._u_ux(xs[~far])[0]
+        if far.any():
+            u[far] = airy_ai(np.minimum(xs[far], 40.0))
         return u
 
     def _u_ux_v_here(self):
@@ -203,8 +214,7 @@ def _march(field_: PsiField, lams: np.ndarray, want_matrix: bool) -> np.ndarray:
 
     The state is the rotation-free column phi = e^{i lambda x sigma3} psi of
     the module docstring, with phi' = [[0, w], [conj(w), 0]] phi,
-    w = i u e^{2 i lambda x}.  One ``_u`` call samples u at the Gauss
-    points of every step.  Each step's transfer matrix is formed for all
+    w = i u e^{2 i lambda x}.  Each step's transfer matrix is formed for all
     lambdas at once, _CHUNK steps at a time, the steps of a chunk are
     multiplied pairwise in a tree, and the chunk products are multiplied in
     march order.  Every operation is elementwise in lambda.  A transfer
@@ -219,13 +229,13 @@ def _march(field_: PsiField, lams: np.ndarray, want_matrix: bool) -> np.ndarray:
     """
     lams = np.asarray(lams, dtype=float)
     ends = _grid(field_)
-    steps = np.diff(ends)
-    gauss = ends[:-1, None] + steps[:, None] * _GAUSS3
-    u_gauss = field_._u(gauss.ravel()).reshape(gauss.shape)
     p = np.ones(len(lams), dtype=complex)
     q = np.zeros(len(lams), dtype=complex)
-    for k in range(0, len(steps), _CHUNK):
-        h, xg, u = steps[k:k + _CHUNK], gauss[k:k + _CHUNK], u_gauss[k:k + _CHUNK]
+    for k in range(0, len(ends) - 1, _CHUNK):
+        x0 = ends[k:k + _CHUNK + 1]
+        h = np.diff(x0)
+        xg = x0[:-1, None] + h[:, None] * _GAUSS3
+        u = field_._u(xg.ravel()).reshape(xg.shape)
         # w over its midpoint phase i e^{2 i lambda x}: e^{-+i (sqrt 15 / 5) lambda h}
         off = np.exp(1j * ((math.sqrt(15.0) / 5.0) * h[:, None] * lams))
         sp, sq = _step_matrices(h, u[:, 0, None] * np.conj(off), u[:, 1, None], u[:, 2, None] * off)

@@ -104,6 +104,8 @@ def test_usage_errors(capsys):
     assert main(["dump", "--what", "kernel", "--kernel", "csin", "--x", "nan",
                  "--s", "1", "--n", "4"]) == EXIT_USAGE
     assert main(["dump", "--what", "hm", "--hm-window=-inf,8,0.002"]) == EXIT_USAGE
+    assert main(["det", "--kernel", "pii", "--x", "-12", "--s", "1",
+                 "--hm-window=-20,8,0.002"]) == EXIT_USAGE
     capsys.readouterr()
 
 

@@ -1,6 +1,7 @@
 """Determinant evaluation on symmetric intervals, plus the log-derivatives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ def test_zero_t_determinants_match_sine_bitwise():
         b = log_det(Sine(x=1.0), s, n)
         assert a.log_det.hi == b.log_det.hi and a.log_det.lo == b.log_det.lo
         assert a.pivot_min.hi == b.pivot_min.hi
+
+
+def test_top_rung_peak_memory_stays_small():
+    # Assembly and elimination at n = 256 hold a few n x n arrays (0.5 MB
+    # each) at a time; the whole-matrix update held about 7.3 MB.
+    spec, s = CubicSine(t=0.929, x=1.607), 2.074
+    log_det(spec, s, 256)                       # build the rule outside the window
+    tracemalloc.start()
+    try:
+        log_det(spec, s, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_pii_ladder_marches_each_rung_when_it_reaches_it(hm, monkeypatch):

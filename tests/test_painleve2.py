@@ -106,13 +106,14 @@ def test_hermite_profile_returns_the_stored_node_values(hm):
     assert hm.u_at(hm.x_left) == hm.u[0] and hm.u_x_at(hm.x_right) == hm.u_x[-1]
 
 
-def test_non_uniform_grid_rejected(hm):
-    bent = hm.x.copy()
-    bent[4500] += 0.25 * hm.h
+def test_unsorted_or_mismatched_grid_rejected(hm):
+    # the interpolant locates each point's interval by bisection on x
+    swapped = hm.x.copy()
+    swapped[[4500, 4501]] = swapped[[4501, 4500]]
     with pytest.raises(ValueError):
-        dataclasses.replace(hm, x=bent)
+        dataclasses.replace(hm, x=swapped)
     with pytest.raises(ValueError):
-        dataclasses.replace(hm, h=2.0 * hm.h)
+        dataclasses.replace(hm, u=hm.u[:-1])
 
 
 def test_v_is_the_squared_tail_mass(hm):

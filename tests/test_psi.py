@@ -121,8 +121,8 @@ def test_a_column_marched_alone_matches_its_ladder_batch(hm):
 
 def test_ladder_batch_steps_over_the_decayed_potential(hm):
     # The first two rungs of a PII ladder at x = 0, s = 1.8.  The grid is
-    # fixed per field: one call samples u to grade it, then one call
-    # evaluates u at the three Gauss points of every step.
+    # fixed per field: one call samples u to grade it, then one call per
+    # chunk of steps evaluates u at the chunk's three Gauss points per step.
     # Past x ~ 6, where u < 1e-5, the steps are long, so few lie there.
     f = PsiField(x=0.0, hm=hm)
     u = f._u
@@ -136,20 +136,27 @@ def test_ladder_batch_steps_over_the_decayed_potential(hm):
     lams = np.concatenate([1.8 * gauss_legendre(n).nodes_f8 for n in (32, 64)])
     psi_columns(f, lams)
     assert len(f.cache) == 96
-    assert len(calls) == 2
-    gauss = calls[1]
-    assert len(gauss) % 3 == 0 and len(gauss) // 3 <= 300
+    sizes = [len(xs) for xs in calls[1:]]
+    steps = sum(sizes) // 3
+    chunk = gapdet.psi._CHUNK
+    assert sizes == [3 * min(chunk, steps - k) for k in range(0, steps, chunk)]
+    assert steps <= 300
+    gauss = np.concatenate(calls[1:])
     assert np.count_nonzero(gauss > 6.0) <= 0.2 * len(gauss)
 
 
 def test_potential_is_the_profile_in_the_window_and_airy_beyond():
-    # Ai is evaluated only right of the window, so a wider window's left
-    # part, below Ai's domain, is read from the profile alone
+    # u is the profile up to x_right, node included, and Ai right of it, so
+    # the window's end cubic is never extrapolated towards x_start
     wide = solve_hm(x_left=-20.0, h=0.004)
-    f = PsiField(x=-12.0, hm=wide)
-    xs = np.array([-15.0, -12.0, 0.5, 8.0, 9.5])
-    expected = [wide.u_at(v) for v in xs[:4]] + [airy_ai(9.5)]
+    f = PsiField(x=-5.0, hm=wide)
+    xs = np.array([-15.0, 0.5, 8.0, 9.5, 12.5])
+    expected = [wide.u_at(v) for v in xs[:3]] + [airy_ai(9.5), airy_ai(12.5)]
     assert np.array_equal(f._u(xs), expected)
+    # a wider window does not admit a field left of x = -10, where the march
+    # loses psi_det = 1
+    with pytest.raises(ValueError):
+        PsiField(x=-12.0, hm=wide)
 
 
 def test_repeated_lambda_is_marched_once(hm, monkeypatch):
