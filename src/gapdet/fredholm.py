@@ -167,9 +167,20 @@ def _shift_x(spec: KernelSpec, dx: float) -> KernelSpec:
 
 
 def dlogdet_dx(spec: KernelSpec, s: float, h: float = 1e-3) -> float:
-    """d/dx log det(I - K), differenced in the kernel parameter."""
+    """d/dx log det(I - K), differenced in the kernel parameter.
+
+    x - h and x + h must both be parameters the kernel accepts (for PII, in
+    the solved window and not left of -10); the ValueError otherwise names
+    the x and h given, not the shifted x.
+    """
     if not 0.0 < h <= 1e-3:
         raise ValueError(f"h = {h} outside (0, 1e-3]")
-    hi = log_det_converged(_shift_x(spec, +h), s)
-    lo = log_det_converged(_shift_x(spec, -h), s)
+    try:
+        up, down = _shift_x(spec, +h), _shift_x(spec, -h)
+    except ValueError:
+        raise ValueError(
+            f"x = {spec.x} with h = {h}: x - h or x + h lies outside the kernel's domain"
+        ) from None
+    hi = log_det_converged(up, s)
+    lo = log_det_converged(down, s)
     return float(hi.log_det - lo.log_det) / (2.0 * h)

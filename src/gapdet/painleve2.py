@@ -5,7 +5,7 @@ left.  A damped Newton iteration on the Numerov discretisation solves the
 two-point problem to fourth order in h: with f = x u + 2 u^3 the interior
 equations are (u[i-1] - 2 u[i] + u[i+1]) / h^2 = (f[i-1] + 10 f[i] +
 f[i+1]) / 12, and the Jacobian stays tridiagonal.  At the default h, u(0)
-agrees with the published 0.3670615515480784 to 1e-15.  u_x comes from
+agrees with the published 0.3670615515480784 to 1e-14.  u_x comes from
 fourth-order stencils on the converged grid.
 
 Between grid nodes u and u_x are cubic Hermite interpolants: u from the
@@ -22,10 +22,15 @@ queries inside [x_left + 1, x_right - 1].  The discrete residual of a
 converged grid cannot drop below about 2 eps |u| / h^2 (one half-ulp of a
 stored value already moves it that much), which is ~4e-10 at the default
 h = 0.002; the Newton loop therefore targets 1e-10 but accepts a stall
-anywhere below 1e-8.
+anywhere below 1e-8, and then takes one more, undamped, step.
 
-``scipy.linalg`` is imported inside ``solve_hm``, so importing gapdet does
-not load it; evaluating a solution needs numpy alone.
+Each Newton step solves its tridiagonal system by one elimination sweep
+and back substitution on Python floats (``_solve_tridiagonal``), in the
+operation order of LAPACK's dgtsv, so the step is bit-identical to
+``scipy.linalg.solve_banded``.  No pivoting is needed: f' = x + 6 u^2 > 0
+makes the Jacobian diagonally dominant.  The Airy data come from
+``specfun``, which needs numpy alone, so solving and evaluating load no
+part of scipy.
 """
 
 from __future__ import annotations
@@ -134,12 +139,33 @@ class HastingsMcLeodSolution:
 
 
 def _initial_guess(x: np.ndarray) -> np.ndarray:
-    # smooth crossfade between the two boundary asymptotes; the logistic
-    # window keeps the Airy factor from ever seeing x < -10
+    # smooth crossfade between the two boundary asymptotes; left of 0.5, the
+    # end of Ai's domain, the Airy factor is held at Ai(0.5), and the
+    # logistic window gives it at most a quarter of the weight there
     w = 1.0 / (1.0 + np.exp(2.0 * x))
     left = np.sqrt(np.maximum(-x, 0.0) / 2.0)
-    right = airy_ai(np.clip(x, -10.0, 30.0))
+    right = np.full_like(x, airy_ai(0.5))
+    tail = x > 0.5
+    right[tail] = airy_ai(np.minimum(x[tail], 30.0))
     return w * left + (1.0 - w) * right
+
+
+def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
+    """Solve the tridiagonal system with the given three diagonals.
+
+    Gaussian elimination without pivoting and back substitution, on Python
+    floats, with LAPACK dgtsv's operations in its order when no row is
+    interchanged, which it does not do for a diagonally dominant matrix.
+    """
+    a, b, c, d = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    for i in range(len(b) - 1):
+        fact = a[i] / b[i]
+        b[i + 1] -= fact * c[i]
+        d[i + 1] -= fact * d[i]
+    d[-1] /= b[-1]
+    for i in range(len(b) - 2, -1, -1):
+        d[i] = (d[i] - c[i] * d[i + 1]) / b[i]
+    return np.array(d)
 
 
 def _deriv4(u: np.ndarray, h: np.float64) -> np.ndarray:
@@ -160,6 +186,14 @@ def _interior_residual(u, x, h):
     return (u[:-2] - 2.0 * u[1:-1] + u[2:]) / (h * h) - (f[:-2] + 10.0 * f[1:-1] + f[2:]) / 12.0
 
 
+def _newton_jacobian(u, x, h):
+    """(sub, diag, super) diagonals of d(_interior_residual)/du, interior nodes."""
+    fp = x + 6.0 * u ** 2
+    return (1.0 / (h * h) - fp[1:-2] / 12.0,
+            -2.0 / (h * h) - (10.0 / 12.0) * fp[1:-1],
+            1.0 / (h * h) - fp[2:-1] / 12.0)
+
+
 def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
              _u0: Optional[np.ndarray] = None) -> HastingsMcLeodSolution:
     """Solve the positive-branch boundary-value problem on [x_left, x_right].
@@ -173,8 +207,6 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
     Raises NewtonDivergenceError when the residual grows five iterations in
     a row and WrongBranchError when the iterate leaves u > 0.
     """
-    from scipy.linalg import solve_banded
-
     if not -40.0 <= x_left <= -8.0:
         raise ValueError(f"x_left = {x_left} must lie in [-40, -8]")
     if not 6.0 <= x_right <= 40.0:
@@ -211,12 +243,7 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
         else:
             growth = 0
 
-        fp = x + 6.0 * u ** 2
-        ab = np.zeros((3, len(x) - 2))
-        ab[0, 1:] = 1.0 / (h * h) - fp[2:-1] / 12.0
-        ab[1, :] = -2.0 / (h * h) - (10.0 / 12.0) * fp[1:-1]
-        ab[2, :-1] = 1.0 / (h * h) - fp[1:-2] / 12.0
-        delta = solve_banded((1, 1), ab, -F)
+        delta = _solve_tridiagonal(*_newton_jacobian(u, x, h), -F)
 
         lam = 1.0
         for _ in range(30):
@@ -234,6 +261,11 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
         prev_rn = rn
     else:
         raise NewtonDivergenceError(trace)
+    # The residual cannot show the error the last accepted step left (about
+    # 1e-13 in u from a residual of 1e-7), so one more undamped step takes
+    # the iterate to the discrete solution, within rounding, whatever the
+    # initial guess was
+    u[1:-1] += _solve_tridiagonal(*_newton_jacobian(u, x, h), -F)
 
     if np.min(u) <= 0.0:
         raise WrongBranchError(

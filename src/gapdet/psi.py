@@ -27,8 +27,13 @@ once, and the matrices are multiplied in a tree.  Omega lies in su(1,1),
 so each transfer matrix is [[p, q], [conj q, conj p]] with unit
 determinant, and carrying only (p, q) keeps conj(psi21) = i psi11 to one
 rounding, <= 5e-16 (which is what keeps the downstream kernel real).
-For real lambda both fundamental solutions have constant modulus, so the
-march is neutrally stable.  At the default tol the columns agree with
+The march is not neutrally stable.  Where u^2 > lambda^2, U has the real
+eigenvalues +-sqrt(u^2 - lambda^2), so the transfer matrix grows as the
+march goes left, and so does the rounding of every step it carries.  Each
+step keeps the determinant 1, but the product loses it in proportion:
+over 61 equally spaced lambda in [0, 3], max |psi_det - 1| is 3.2e-14 at
+x = -3, 3.5e-13 at -4, 7.2e-12 at -5, 1.2e-10 at -6 and 1.7e-9 at -7
+(below 1e-14 for x >= -2).  At the default tol the columns agree with
 an eighth-order DOP853 march to a few 1e-13 for x >= -1 and |lambda| <=
 2.4, and the march's own error falls in proportion to tol.
 

@@ -1,17 +1,29 @@
-"""Airy functions on the real line and the constants of the gap expansions.
+"""Airy functions on the positive real line and the constants of the gap
+expansions.
 
-Ai and Ai' come from ``scipy.special.airy`` behind a domain check on
-[-10, 40], the range the Hastings-McLeod solve and the column march use.
-``scipy.special`` is imported at the first Airy call, so the sine and
-cubic-sine paths never load it.
-Against mpmath at 30 digits, over 2,009 equally spaced points on [-10, 40],
-the worst error of either function is 3.6e-14: relative for x >= 0,
-absolute for x < 0, where Ai oscillates through zero.
+Ai and Ai' are evaluated on [0.5, 40] from the Bessel-K integrals
+(DLMF 9.6.1, 10.32.9), with zeta = (2/3) x^{3/2}:
+
+    Ai(x) = (1/pi) sqrt(x/3) K_{1/3}(zeta),
+    Ai'(x) = -(x / (pi sqrt 3)) K_{2/3}(zeta),
+    K_nu(zeta) = int_0^inf e^{-zeta cosh t} cosh(nu t) dt.
+
+The integrand decays doubly exponentially, so the trapezoid rule converges
+exponentially in the number of nodes (Trefethen and Weideman, SIAM Review
+56, 2014): 41 nodes t_j = j h, h = min(0.2, 0.5 / sqrt(zeta)), with the
+factor e^{-zeta} taken out of the integrand (cosh t - 1 = 2 sinh(t/2)^2)
+and put back at the end.  Every point is one row of one numpy expression,
+so no part of scipy is loaded.  Against mpmath at 30 digits, over 1,201
+equally spaced points on [0.5, 40], the worst relative error of either
+function is 3.7e-14, set by the rounding of zeta in e^{-zeta} near x = 40.
+Left of 0.5 the Hastings-McLeod solve and the column march never need Ai
+(the solve's right edge is at x >= 6), so the domain stops there.
 The constants are stored as 36-digit literals in double-double.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,23 +73,31 @@ def zeta_prime_minus1() -> ExtendedReal:
 # Airy Ai and Ai'
 # ---------------------------------------------------------------------------
 
-_X_MIN = -10.0
+_X_MIN = 0.5
 _X_MAX = 40.0
+_NODES = np.arange(41.0)
+_TRAPEZOID = np.where(_NODES == 0.0, 0.5, 1.0)
 
 
 def _airy_pair(x):
-    from scipy.special import airy
-
+    """(Ai, Ai') as arrays, by the trapezoid rule on the Bessel-K integrals."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     # written so that NaN, for which every comparison is False, is rejected
     if not np.all((xa >= _X_MIN) & (xa <= _X_MAX)):
         raise ValueError(f"argument outside [{_X_MIN}, {_X_MAX}]")
-    ai, aip, _, _ = airy(xa)
-    return ai, aip
+    zeta = (2.0 / 3.0) * xa * np.sqrt(xa)
+    h = np.minimum(0.2, 0.5 / np.sqrt(zeta))
+    t = h[..., None] * _NODES
+    # e^{zeta} e^{-zeta cosh t}, times the trapezoid end weights
+    w = np.exp(-2.0 * zeta[..., None] * np.sinh(0.5 * t) ** 2) * _TRAPEZOID
+    k13 = h * np.sum(w * np.cosh(t / 3.0), axis=-1)
+    k23 = h * np.sum(w * np.cosh((2.0 / 3.0) * t), axis=-1)
+    scale = np.exp(-zeta) / np.pi
+    return scale * np.sqrt(xa / 3.0) * k13, -scale * (xa / math.sqrt(3.0)) * k23
 
 
 def airy_ai(x):
-    """Ai(x) for -10 <= x <= 40, scalar or ndarray."""
+    """Ai(x) for 0.5 <= x <= 40, scalar or ndarray."""
     ai, _ = _airy_pair(x)
     return float(ai[0]) if np.ndim(x) == 0 else ai
 

@@ -107,6 +107,11 @@ def test_usage_errors(capsys):
     assert main(["det", "--kernel", "pii", "--x", "-12", "--s", "1",
                  "--hm-window=-20,8,0.002"]) == EXIT_USAGE
     capsys.readouterr()
+    # the x-slope's difference steps past the window: the message names the
+    # x and h the request gave, not the shifted x
+    assert main(["verify", "--formula", "logxasy", "--x", "-9.9995"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "x = -9.9995 with h = 0.001" in err and "-10.0005" not in err
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

@@ -10,6 +10,9 @@ from scipy.integrate import quad
 from gapdet.painleve2 import (
     NewtonDivergenceError,
     WrongBranchError,
+    _interior_residual,
+    _newton_jacobian,
+    _solve_tridiagonal,
     solve_hm,
     tw_integral,
     v_at,
@@ -22,7 +25,7 @@ mpmath.mp.dps = 30
 def test_solution_metadata(hm):
     assert hm.x_left == -10.0 and hm.x_right == 8.0 and hm.h == 0.002
     assert hm.x.size == hm.u.size == hm.u_x.size == hm.v.size == 9001
-    assert hm.iterations <= 12
+    assert hm.iterations == 6
     assert hm.residual <= 1e-8
 
 
@@ -67,6 +70,33 @@ def test_value_at_zero_matches_the_published_value(hm):
     # u(0) = 0.3670615515480784 (Fornberg & Weideman, Found. Comput. Math.
     # 14, 2014), from a spectral solve independent of both routes above.
     assert abs(hm.u_at(0.0) - 0.3670615515480784) <= 1e-12
+
+
+def test_tridiagonal_sweep_is_lapack_bit_for_bit(hm):
+    # test-only oracle: scipy's solve_banded, which calls LAPACK's dgtsv, on
+    # the Numerov Jacobian at the converged profile; the Newton right-hand
+    # side there is rounding noise, so a random one is solved as well
+    from scipy.linalg import solve_banded
+
+    sub, diag, sup = _newton_jacobian(hm.u, hm.x, hm.h)
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+    rhs_newton = -_interior_residual(hm.u, hm.x, hm.h)
+    rhs_random = np.random.default_rng(2012).standard_normal(diag.size)
+    for rhs in (rhs_newton, rhs_random):
+        assert np.array_equal(_solve_tridiagonal(sub, diag, sup, rhs),
+                              solve_banded((1, 1), ab, rhs))
+
+
+def test_profile_is_pinned_across_the_window(hm):
+    # u_at as computed by a Newton loop whose steps came from
+    # scipy.linalg.solve_banded and whose Airy data came from
+    # scipy.special.airy; the sweep and the Bessel-K Airy replace both
+    pins = {-9.0: 2.1209579634146856, -5.0: 1.5794870878484542,
+            0.0: 0.36706155154807135, 4.0: 0.0009515638989305485,
+            7.5: 1.9172560675017937e-07}
+    for x, want in pins.items():
+        assert abs(hm.u_at(x) - want) <= 1e-12, x
 
 
 def test_step_refinement_is_fourth_order():

@@ -70,6 +70,17 @@ def test_determinant_is_unimodular_to_rounding(hm):
             assert abs(psi_det(f, lam) - 1.0) <= 1e-13
 
 
+def test_determinant_loss_stays_small_right_of_minus_four(hm):
+    # Rounding is amplified as much as the transfer matrix grows, which
+    # happens where u^2 > lambda^2, more the further left: the loss reads
+    # 3.5e-13 at x = -4 and 7.2e-12 at x = -5 (module docstring).  A march
+    # change that widens it shows here.
+    lams = np.linspace(0.0, 3.0, 31)
+    for x in (-4.0, -3.0, -2.0, 0.0, 2.0, 4.0):
+        f = PsiField(x=x, hm=hm)
+        assert max(abs(psi_det(f, float(lam)) - 1.0) for lam in lams) <= 1e-12, x
+
+
 def test_conjugation_pairing_holds_to_rounding(field0):
     # The two entries stay locked as conj(psi21) = i*psi11; the march
     # preserves this to the last bit or one rounding of it.
