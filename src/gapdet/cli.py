@@ -176,6 +176,9 @@ def _config(ns) -> RunConfig:
         raise _UsageError(f"--t {ns.t} outside [0, 1]")
     if ns.tol is not None and not 0.0 <= ns.tol < np.inf:
         raise _UsageError(f"--tol {ns.tol} must be finite and non-negative")
+    if formula in ("logsasy", "logxasy") and ns.n is not None:
+        raise _UsageError(f"--n does not apply to --formula {formula}: "
+                          "the slopes are taken on self-converged ladders")
     return RunConfig(
         command=ns.command,
         kernel=kernel,

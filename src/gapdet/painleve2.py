@@ -21,8 +21,9 @@ Accuracy notes.  The left boundary uses only the leading asymptote, so a
 queries inside [x_left + 1, x_right - 1].  The discrete residual of a
 converged grid cannot drop below about 2 eps |u| / h^2 (one half-ulp of a
 stored value already moves it that much), which is ~4e-10 at the default
-h = 0.002; the Newton loop therefore targets 1e-10 but accepts a stall
-anywhere below 1e-8, and then takes one more, undamped, step.
+h = 0.002, where no damped step can lower it; the Newton loop therefore
+stops as soon as the residual is below 1e-8 and then takes one more,
+undamped, step.
 
 Each Newton step solves its tridiagonal system by one elimination sweep
 and back substitution on Python floats (``_solve_tridiagonal``), in the
@@ -232,10 +233,8 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
         F = _interior_residual(u, x, h)
         rn = float(np.max(np.abs(F)))
         trace.append(rn)
-        if rn <= 1e-10:
-            break
-        if rn <= 1e-8 and rn > 0.25 * prev_rn:
-            break  # rounding floor of the residual, see module docstring
+        if rn <= 1e-8:
+            break  # at or near the rounding floor, see module docstring
         if rn >= prev_rn:
             growth += 1
             if growth >= 5:

@@ -107,6 +107,11 @@ def test_usage_errors(capsys):
     assert main(["det", "--kernel", "pii", "--x", "-12", "--s", "1",
                  "--hm-window=-20,8,0.002"]) == EXIT_USAGE
     capsys.readouterr()
+    # the slopes have no fixed-order path, so --n is refused rather than ignored
+    for formula in ("logsasy", "logxasy"):
+        assert main(["verify", "--formula", formula, "--kernel", "csin", "--x", "1",
+                     "--s", "1.0", "--n", "16"]) == EXIT_USAGE
+        assert "--n" in capsys.readouterr().err
     # the x-slope's difference steps past the window: the message names the
     # x and h the request gave, not the shifted x
     assert main(["verify", "--formula", "logxasy", "--x", "-9.9995"]) == EXIT_USAGE

@@ -191,6 +191,52 @@ def test_rule_integrates_exponential():
     assert abs(total - want) < 1e-28
 
 
+def _newton_rule_40_digits(n):
+    """Non-negative half of the order-n rule, in increasing order, by Newton
+    on the three-term recurrence in 40-digit decimal arithmetic.
+
+    Starts from numpy's leggauss nodes (an odd n's middle one from exactly
+    0) and takes two Newton steps, which carry a 1e-14 guess below 1e-38;
+    the weight is 2 / ((1 - x^2) P_n'(x)^2) at the last iterate.
+    """
+    guess = np.polynomial.legendre.leggauss(n)[0][n // 2:]
+    if n % 2:
+        guess[0] = 0.0
+    half = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        coef = [(decimal.Decimal(2 * j + 1) / (j + 1), decimal.Decimal(j) / (j + 1))
+                for j in range(1, n)]
+        for g in guess.tolist():
+            x = decimal.Decimal(g)
+            for step in range(3):
+                p0, p1 = decimal.Decimal(1), x
+                for a, b in coef:
+                    p0, p1 = p1, a * x * p1 - b * p0
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                if step < 2:
+                    x -= p1 / dp
+            half.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return half
+
+
+@pytest.mark.parametrize("n", [3, 24, 32, 64, 128, 256, 400])
+def test_rule_against_an_independent_40_digit_newton(n):
+    r = gauss_legendre(n)
+    nh, nl = r.nodes_dd()
+    wh, wl = r.weights_dd()
+    half = _newton_rule_40_digits(n)
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for k, (x, w) in enumerate(half, start=n // 2):
+            for j, sign in ((k, 1), (n - 1 - k, -1)):
+                # the hi words are the correctly rounded values
+                assert nh[j] == sign * float(x) and wh[j] == float(w)
+                assert abs(D(nh[j]) + D(nl[j]) - sign * x) <= D("1e-32")
+                assert abs(D(wh[j]) + D(wl[j]) - w) <= D("1e-28") * w
+
+
 def test_rule_order_bounds():
     with pytest.raises(ValueError):
         gauss_legendre(0)

@@ -25,7 +25,8 @@ mpmath.mp.dps = 30
 def test_solution_metadata(hm):
     assert hm.x_left == -10.0 and hm.x_right == 8.0 and hm.h == 0.002
     assert hm.x.size == hm.u.size == hm.u_x.size == hm.v.size == 9001
-    assert hm.iterations == 6
+    # four Newton steps reach the residual floor (2.07e-10), where the loop stops
+    assert hm.iterations == 5
     assert hm.residual <= 1e-8
 
 
