@@ -56,7 +56,6 @@ from .painleve2 import (
 )
 from .psi import (
     PsiField,
-    StiffnessError,
     psi_column,
     psi_column_derivative,
     psi_column_ray,
@@ -86,7 +85,6 @@ __all__ = [
     "QuadratureRule",
     "Sine",
     "SingularMatrixError",
-    "StiffnessError",
     "WrongBranchError",
     "airy_ai",
     "airy_ai_prime",

@@ -42,7 +42,7 @@ from .painleve2 import (
     solve_hm,
     v_at,
 )
-from .psi import PsiField, StiffnessError, psi_column_ray, psi_columns
+from .psi import PsiField, psi_column_ray, psi_columns
 
 __all__ = ["RunConfig", "main"]
 
@@ -146,8 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--hm-window", default=None, help="L,R,H for the BVP solve")
-        p.add_argument("--psi-R", type=float, default=None, dest="psi_r",
-                       help="spectral-ray seed radius; a psi dump uses the ray route when set")
 
     p_det = sub.add_parser("det", help="log det(I - K) table over s")
     common(p_det)
@@ -157,6 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump", help="dump solver internals as CSV/JSON")
     common(p_dump)
     p_dump.add_argument("--what", choices=("hm", "psi", "kernel"), required=True)
+    p_dump.add_argument("--psi-R", type=float, default=None, dest="psi_r",
+                        help="spectral-ray seed radius; a psi dump uses the ray route when set")
     return ap
 
 
@@ -176,6 +176,8 @@ def _config(ns) -> RunConfig:
         raise _UsageError(f"--t {ns.t} outside [0, 1]")
     if ns.tol is not None and not 0.0 <= ns.tol < np.inf:
         raise _UsageError(f"--tol {ns.tol} must be finite and non-negative")
+    if getattr(ns, "psi_r", None) is not None and ns.what != "psi":
+        raise _UsageError(f"--psi-R applies to --what psi only, not --what {ns.what}")
     if formula in ("logsasy", "logxasy") and ns.n is not None:
         raise _UsageError(f"--n does not apply to --formula {formula}: "
                           "the slopes are taken on self-converged ladders")
@@ -190,7 +192,7 @@ def _config(ns) -> RunConfig:
         output_path=ns.out,
         tol=ns.tol,
         hm_window=window,
-        psi_r=ns.psi_r,
+        psi_r=getattr(ns, "psi_r", None),
         formula=formula,
         what=getattr(ns, "what", None),
     )
@@ -345,8 +347,7 @@ def main(argv=None) -> int:
         print(f"gapdet: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (DetIntegrityError, KernelIntegrityError, SingularMatrixError,
-            StiffnessError, NewtonDivergenceError, NewtonConvergenceError,
-            WrongBranchError) as e:
+            NewtonDivergenceError, NewtonConvergenceError, WrongBranchError) as e:
         print(f"gapdet: integrity: {e}", file=sys.stderr)
         return EXIT_INTEGRITY
     except ValueError as e:

@@ -71,3 +71,44 @@ def dop853_columns():
         return y[:m], y[m:]
 
     return march
+
+
+@pytest.fixture(scope="session")
+def dop853_ray_column():
+    """Test-only oracle for psi_column_ray, independent of its Magnus legs.
+
+    The ray route as it ran on scipy's DOP853: the same first-order seed at
+    lambda0 = iR and the same path, each leg integrating the phase-extracted
+    phi = psi e^{i theta} at rtol = atol = tol, then psi = phi e^{-i theta}.
+    """
+    from scipy.integrate import solve_ivp
+
+    def ray(field_, lam, R=8.0, path="dogleg", tol=1e-13):
+        u, ux, v = field_._u_ux_v_here()
+        x = field_.x
+        u2 = u * u
+        lam0 = 1j * R
+        y = np.array([1.0 - 1j * v / (2.0 * lam0), u / (2.0 * lam0)], dtype=complex)
+
+        legs = [(lam0, 0.0 + 0j), (0.0 + 0j, complex(lam))] if path == "dogleg" \
+            else [(lam0, complex(lam))]
+        for a, b in legs:
+            if a == b:
+                continue
+            d = b - a
+
+            def rhs(tau, yy, a=a, d=d):
+                mu = a + tau * d
+                b12 = 4j * mu * u - 2.0 * ux
+                b21 = -4j * mu * u - 2.0 * ux
+                b22 = 8j * mu ** 2 + 2j * x + 2j * u2
+                return d * np.array([-2j * u2 * yy[0] + b12 * yy[1], b21 * yy[0] + b22 * yy[1]])
+
+            res = solve_ivp(rhs, (0.0, 1.0), y, method="DOP853", rtol=tol, atol=tol)
+            if res.status != 0:
+                raise RuntimeError(f"DOP853 gave up at path position {res.t[-1]}")
+            y = res.y[:, -1]
+
+        return y * np.exp(-1j * ((4.0 / 3.0) * lam ** 3 + x * lam))
+
+    return ray

@@ -101,6 +101,12 @@ def test_usage_errors(capsys):
     assert main(["dump", "--what", "everything"]) == EXIT_USAGE
     assert main(["dump", "--what", "psi", "--psi-R", "0"]) == EXIT_USAGE
     assert main(["dump", "--what", "psi", "--psi-R", "-8"]) == EXIT_USAGE
+    capsys.readouterr()
+    # --psi-R belongs to the psi dump: elsewhere it is refused, not ignored
+    assert main(["det", "--kernel", "pii", "--x", "0", "--s", "1", "--psi-R", "-3"]) == EXIT_USAGE
+    assert "--psi-R" in capsys.readouterr().err
+    assert main(["dump", "--what", "hm", "--psi-R", "8"]) == EXIT_USAGE
+    assert "--psi-R" in capsys.readouterr().err
     assert main(["dump", "--what", "kernel", "--kernel", "csin", "--x", "nan",
                  "--s", "1", "--n", "4"]) == EXIT_USAGE
     assert main(["dump", "--what", "hm", "--hm-window=-inf,8,0.002"]) == EXIT_USAGE

@@ -8,7 +8,6 @@ import pytest
 import gapdet.psi
 from gapdet import (
     PsiField,
-    StiffnessError,
     gauss_legendre,
     psi_column,
     psi_column_derivative,
@@ -17,7 +16,6 @@ from gapdet import (
     psi_det,
     solve_hm,
 )
-from gapdet.psi import _integrate
 from gapdet.specfun import airy_ai
 
 LAM_GRID = np.linspace(-4.0, 4.0, 17)
@@ -234,6 +232,47 @@ def test_ray_seed_radius_doubling_is_flat_at_large_x(field8):
         assert abs(a[0] - b[0]) <= 1e-8
 
 
+def test_ray_route_carries_psi21_at_large_x(field8):
+    # Both entries, not only psi11: the seed bias at x = 8 is below 1e-10
+    lams = [0.5, 2.0]
+    march = psi_columns(field8, lams)
+    for lam, ref in zip(lams, march):
+        assert np.max(np.abs(psi_column_ray(field8, lam, R=8.0) - ref)) <= 1e-9
+
+
+def test_ray_route_matches_the_dop853_oracle(field0, dop853_ray_column):
+    # the Magnus legs against the DOP853 legs they replaced, on both entries
+    for lam in (-2.0, 1.5, 3.0):
+        ref = dop853_ray_column(field0, lam, tol=3e-14)
+        assert np.max(np.abs(psi_column_ray(field0, lam) - ref)) <= 2e-12
+
+
+def test_direct_ray_path_is_refused_beyond_one_and_a_half(field0):
+    # Straight from iR, the error the path amplifies reads 1e-7 to 2e-5 at
+    # |lambda| = 2 and up to 5e12 at 3; at 1.5 it is still below 1e-10.
+    for lam in (1.5000001, -2.0, 3.0):
+        with pytest.raises(ValueError, match="direct"):
+            psi_column_ray(field0, lam, path="direct")
+    a = psi_column_ray(field0, -1.5, path="direct")
+    assert np.max(np.abs(a - psi_column_ray(field0, -1.5))) <= 1e-9
+
+
+def test_ray_leg_forms_its_steps_in_bounded_blocks(monkeypatch):
+    # A leg's step count grows as R^2 (about 29,000 per leg at R = 16), so
+    # its step matrices are formed a block at a time: memory stays bounded
+    # at any R.
+    sizes = []
+    matrix = gapdet.psi._lambda_matrix
+
+    def recording(field_, lam):
+        sizes.append(len(lam))
+        return matrix(field_, lam)
+
+    monkeypatch.setattr(gapdet.psi, "_lambda_matrix", recording)
+    psi_column_ray(PsiField(x=0.0, hm=None), 0.5, R=16.0)
+    assert sum(sizes) > 20000 and max(sizes) <= 4096
+
+
 def test_ray_seed_bias_decays_quadratically(field0):
     # Against the production march the ray seed carries an O(1/R^2) error,
     # so doubling R should shrink the gap by about 4.
@@ -292,18 +331,3 @@ def test_ray_path_name_validation(field0):
     for r in (0.0, -8.0, float("nan"), math.inf):
         with pytest.raises(ValueError):
             psi_column_ray(field0, 0.5, R=r)
-
-
-def test_collapsing_steps_raise_with_position():
-    # y' = y^2 from y(0)=1 blows up at t=1; the controller must fail there
-    # rather than stall.
-    with pytest.raises(StiffnessError) as exc:
-        _integrate(lambda t, y: y * y, 0.0, 2.0, np.array([1.0 + 0j]), 1e-10)
-    assert 0.9 <= exc.value.position <= 1.1
-
-
-def test_integrator_tracks_a_pure_rotation():
-    # y' = i y over ten radians; the ray route's integrator reaches about
-    # 1e-12 here, far inside the bound.
-    y = _integrate(lambda t, y: 1j * y, 0.0, 10.0, np.array([1.0 + 0j]), 1e-12)
-    assert abs(y[0] - np.exp(10j)) <= 1e-9
