@@ -22,8 +22,8 @@ from gapdet import ExtendedReal, gauss_legendre, log_det_lu
 # --- a rule is accurate to the second limb -----------------------------------
 
 rule = gauss_legendre(20)
-nh, nl = rule.nodes_dd()
-wh, wl = rule.weights_dd()
+nh, nl = rule.nodes
+wh, wl = rule.weights
 
 total_hi = ExtendedReal(0.0)
 for i in range(rule.order):

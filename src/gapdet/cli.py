@@ -3,7 +3,8 @@ dumps of the underlying objects.
 
 Output contract: CSV with one header line and 17-significant-digit floats,
 or a JSON mirror of the same fields; identical configurations produce
-byte-identical bytes (no timestamps, no locale formatting).  Exit codes:
+byte-identical bytes (no timestamps, no locale formatting).  A flag that
+the request would not read is refused, never ignored.  Exit codes:
 0 all good, 1 a verification row failed, 2 bad usage or bad domain, 3 a
 numerical-integrity fault, 4 I/O.
 """
@@ -13,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .painleve2 import (
 )
 from .psi import PsiField, psi_column_ray, psi_columns
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -52,46 +51,17 @@ EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
 EXIT_IO = 4
 
-_FORMULAS = ("dyson", "theorem1", "theorem2", "logsasy", "logxasy", "fcet")
-
-_DEFAULT_S = {
-    "dyson": [4.0, 5.0, 6.0],
-    "theorem1": [1.6, 1.8, 2.0],
-    "theorem2": [1.6, 1.8, 2.0],
-    "logsasy": [2.0],
-    "logxasy": [2.0],
-    "fcet": [1.6, 1.8, 2.0, 2.1],
-}
-
-_DEFAULT_KERNEL = {
-    "dyson": "sine",
-    "theorem2": "csin",
-    "theorem1": "pii",
-    "logsasy": "pii",
-    "logxasy": "pii",
-    "fcet": "pii",
+# per formula: the kernel it is compared against and the --s list, by default
+_DEFAULTS = {
+    "dyson": ("sine", [4.0, 5.0, 6.0]),
+    "theorem1": ("pii", [1.6, 1.8, 2.0]),
+    "theorem2": ("csin", [1.6, 1.8, 2.0]),
+    "logsasy": ("pii", [2.0]),
+    "logxasy": ("pii", [2.0]),
+    "fcet": ("pii", [1.6, 1.8, 2.0, 2.1]),
 }
 
 _FCET_BAND = (5.5, 6.3)
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized from the flag set."""
-
-    command: str
-    kernel: Optional[str]
-    s_list: list
-    x: float
-    t: float
-    n: Optional[int]
-    output_format: str
-    output_path: Optional[str]
-    tol: Optional[float]
-    hm_window: tuple
-    psi_r: Optional[float]
-    formula: Optional[str]
-    what: Optional[str]
 
 
 class _UsageError(ValueError):
@@ -129,81 +99,102 @@ def _parse_window(text: str) -> tuple:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares only the flags it can read; every flag
+    defaults to None so that ``_config`` can tell a given flag from a
+    default."""
     ap = argparse.ArgumentParser(
         prog="gapdet",
         description="Gap-probability determinants, asymptotic verdicts, and dumps.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def shared(p, n_help):
         p.add_argument("--kernel", choices=("sine", "csin", "pii"))
-        p.add_argument("--x", type=float, default=1.0)
-        p.add_argument("--t", type=float, default=1.0)
-        p.add_argument("--s", default=None, help="comma-separated half-widths")
-        p.add_argument("--n", type=int, default=None,
-                       help="fixed quadrature order (omit for self-converged)")
+        p.add_argument("--x", type=float)
+        p.add_argument("--t", type=float)
+        p.add_argument("--s", help="comma-separated half-widths")
+        p.add_argument("--n", type=int, help=n_help)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--hm-window", default=None, help="L,R,H for the BVP solve")
+        p.add_argument("--out")
+        p.add_argument("--hm-window", help="L,R,H for the BVP solve")
 
-    p_det = sub.add_parser("det", help="log det(I - K) table over s")
-    common(p_det)
+    order = "fixed quadrature order (omit for self-converged)"
+    shared(sub.add_parser("det", help="log det(I - K) table over s"), order)
     p_ver = sub.add_parser("verify", help="compare determinants against predictions")
-    common(p_ver)
-    p_ver.add_argument("--formula", choices=_FORMULAS, required=True)
+    shared(p_ver, order)
+    p_ver.add_argument("--formula", choices=tuple(_DEFAULTS), required=True)
+    p_ver.add_argument("--tol", type=float)
     p_dump = sub.add_parser("dump", help="dump solver internals as CSV/JSON")
-    common(p_dump)
+    shared(p_dump, "kernel: quadrature order (default 16); psi: lambda samples (default 81)")
     p_dump.add_argument("--what", choices=("hm", "psi", "kernel"), required=True)
-    p_dump.add_argument("--psi-R", type=float, default=None, dest="psi_r",
+    p_dump.add_argument("--psi-R", type=float, dest="psi_r",
                         help="spectral-ray seed radius; a psi dump uses the ray route when set")
     return ap
 
 
-def _config(ns) -> RunConfig:
-    window = _parse_window(ns.hm_window) if ns.hm_window else (-10.0, 8.0, 0.002)
-    formula = getattr(ns, "formula", None)
-    if ns.s is not None:
-        s_list = _parse_s_list(ns.s)
-    elif formula is not None:
-        s_list = list(_DEFAULT_S[formula])
-    else:
-        s_list = [1.0]
-    kernel = ns.kernel
-    if kernel is None:
-        kernel = _DEFAULT_KERNEL[formula] if formula else "sine"
-    if not 0.0 <= ns.t <= 1.0:
-        raise _UsageError(f"--t {ns.t} outside [0, 1]")
-    if ns.tol is not None and not 0.0 <= ns.tol < np.inf:
-        raise _UsageError(f"--tol {ns.tol} must be finite and non-negative")
-    if getattr(ns, "psi_r", None) is not None and ns.what != "psi":
-        raise _UsageError(f"--psi-R applies to --what psi only, not --what {ns.what}")
-    if formula in ("logsasy", "logxasy") and ns.n is not None:
-        raise _UsageError(f"--n does not apply to --formula {formula}: "
-                          "the slopes are taken on self-converged ladders")
-    return RunConfig(
-        command=ns.command,
-        kernel=kernel,
-        s_list=s_list,
-        x=ns.x,
-        t=ns.t,
-        n=ns.n,
-        output_format=ns.format,
-        output_path=ns.out,
-        tol=ns.tol,
-        hm_window=window,
-        psi_r=getattr(ns, "psi_r", None),
-        formula=formula,
-        what=getattr(ns, "what", None),
-    )
+def _solves_pii(cfg) -> bool:
+    return (cfg.kernel == "pii" or cfg.formula in ("theorem1", "logxasy")
+            or cfg.what in ("hm", "psi"))
 
 
-def _solve_window(cfg: RunConfig):
+# When a given flag is refused: (flag, namespace field, test on the normalized
+# request, reason).  A flag the request would not read, or whose value it
+# cannot take, is refused here rather than ignored.
+_REFUSALS = (
+    ("--t", "t", lambda c: c.kernel != "csin", "applies to --kernel csin only"),
+    ("--t", "t", lambda c: not 0.0 <= c.t <= 1.0, "{c.t} outside [0, 1]"),
+    ("--tol", "tol", lambda c: not 0.0 <= c.tol < np.inf,
+     "{c.tol} must be finite and non-negative"),
+    ("--hm-window", "hm_window", lambda c: not _solves_pii(c),
+     "applies only where Painleve II is solved: a pii kernel, --formula "
+     "theorem1 or logxasy, or dump --what hm or psi"),
+    ("--n", "n", lambda c: c.formula in ("logsasy", "logxasy"),
+     "does not apply to --formula {c.formula}: the slopes are taken on "
+     "self-converged ladders"),
+    ("--n", "n", lambda c: c.what == "hm", "does not apply to --what hm"),
+    ("--n", "n", lambda c: c.what == "psi" and c.n < 1,
+     "{c.n}: the psi dump's sample count must be at least 1"),
+    ("--kernel", "kernel", lambda c: c.what in ("hm", "psi"),
+     "does not apply to --what {c.what}"),
+    ("--s", "s", lambda c: c.what in ("hm", "psi"), "does not apply to --what {c.what}"),
+    ("--s", "s", lambda c: c.what == "kernel" and len(c.s) > 1,
+     "takes one value with --what kernel"),
+    ("--x", "x", lambda c: c.what == "hm", "does not apply to --what hm"),
+    ("--psi-R", "psi_r", lambda c: c.what != "psi",
+     "applies to --what psi only, not --what {c.what}"),
+)
+
+
+def _config(ns):
+    """Apply the defaults to the parsed namespace and refuse, in one
+    message, every given flag that the request would not read or whose
+    value it cannot take."""
+    given = {name for name, v in vars(ns).items() if v is not None}
+    for name in ("formula", "what", "tol", "psi_r"):
+        vars(ns).setdefault(name, None)
+    ns.hm_window = _parse_window(ns.hm_window) if ns.hm_window else (-10.0, 8.0, 0.002)
+    kernel, s_list = _DEFAULTS[ns.formula] if ns.formula else ("sine", [1.0])
+    ns.s = _parse_s_list(ns.s) if ns.s is not None else list(s_list)
+    ns.kernel = ns.kernel or kernel
+    ns.x = 1.0 if ns.x is None else ns.x
+    ns.t = 1.0 if ns.t is None else ns.t
+    refused = [f"{flag} {why.format(c=ns)}" for flag, name, test, why in _REFUSALS
+               if name in given and test(ns)]
+    if refused:
+        raise _UsageError("; ".join(refused))
+    return ns
+
+
+def _solve(cfg):
+    """The Hastings-McLeod solution on the configured window, or None when
+    the request does not solve Painleve II."""
+    if not _solves_pii(cfg):
+        return None
     left, right, h = cfg.hm_window
     return solve_hm(x_left=left, x_right=right, h=h)
 
 
-def _spec_for(cfg: RunConfig, sol):
+def _spec_for(cfg, sol):
     """Kernel spec factory; PII gets a fresh field per call so no row's
     value depends on the column cache left by the rows before it."""
     if cfg.kernel == "sine":
@@ -221,9 +212,9 @@ def _norm(v):
     return v
 
 
-def _render(cfg: RunConfig, header, rows) -> str:
+def _render(cfg, header, rows) -> str:
     rows = [tuple(_norm(v) for v in row) for row in rows]
-    if cfg.output_format == "json":
+    if cfg.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         return json.dumps({"command": cfg.command, "rows": payload}, indent=2) + "\n"
     lines = [",".join(header)]
@@ -231,23 +222,23 @@ def _render(cfg: RunConfig, header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _evaluate(cfg: RunConfig, spec, s: float) -> DetEvaluation:
+def _evaluate(cfg, spec, s: float) -> DetEvaluation:
     """The determinant at the fixed order --n when given, else the ladder's."""
     return log_det(spec, s, cfg.n) if cfg.n is not None else log_det_converged(spec, s)
 
 
-def cmd_det(cfg: RunConfig) -> tuple:
-    sol = _solve_window(cfg) if cfg.kernel == "pii" else None
+def cmd_det(cfg) -> tuple:
+    sol = _solve(cfg)
 
     def row(s):
         ev = _evaluate(cfg, _spec_for(cfg, sol), s)
         return (s, ev.n, float(ev.log_det), ev.converged, float(ev.pivot_min))
 
-    rows = [row(s) for s in cfg.s_list]
+    rows = [row(s) for s in cfg.s]
     return _render(cfg, ("s", "n", "log_det", "converged", "pivot_min"), rows), True
 
 
-def _verify_pair(cfg: RunConfig, sol, s: float) -> tuple:
+def _verify_pair(cfg, sol, s: float) -> tuple:
     """(computed, predicted) for one s under the configured formula."""
     spec = _spec_for(cfg, sol)
     f = cfg.formula
@@ -263,7 +254,7 @@ def _verify_pair(cfg: RunConfig, sol, s: float) -> tuple:
     return computed, theorem1_prediction(s, cfg.x, sol).value
 
 
-def _default_tol(cfg: RunConfig, s: float) -> float:
+def _default_tol(cfg, s: float) -> float:
     if cfg.tol is not None:
         return cfg.tol
     if cfg.formula == "dyson":
@@ -273,22 +264,21 @@ def _default_tol(cfg: RunConfig, s: float) -> float:
     return 0.5
 
 
-def cmd_verify(cfg: RunConfig) -> tuple:
-    needs_sol = cfg.kernel == "pii" or cfg.formula in ("theorem1", "logxasy")
-    sol = _solve_window(cfg) if needs_sol else None
+def cmd_verify(cfg) -> tuple:
+    sol = _solve(cfg)
 
     if cfg.formula == "fcet":
         samples = [(s, float(_evaluate(cfg, _spec_for(cfg, sol), s).log_det))
-                   for s in cfg.s_list]
+                   for s in cfg.s]
         exponent, _ = fcet_fit(samples)
         if cfg.tol is not None:
             ok = abs(exponent - 6.0) <= cfg.tol
         else:
             ok = _FCET_BAND[0] <= exponent <= _FCET_BAND[1]
-        rows = [(max(cfg.s_list), exponent, 6.0, abs(exponent - 6.0), ok)]
+        rows = [(max(cfg.s), exponent, 6.0, abs(exponent - 6.0), ok)]
     else:
         rows = []
-        for s in cfg.s_list:
+        for s in cfg.s:
             computed, predicted = _verify_pair(cfg, sol, s)
             err = abs(computed - predicted)
             rows.append((s, computed, predicted, err, err <= _default_tol(cfg, s)))
@@ -297,14 +287,13 @@ def cmd_verify(cfg: RunConfig) -> tuple:
     return _render(cfg, ("s", "computed", "predicted", "abs_err", "pass"), rows), all_ok
 
 
-def cmd_dump(cfg: RunConfig) -> tuple:
+def cmd_dump(cfg) -> tuple:
+    sol = _solve(cfg)
     if cfg.what == "hm":
-        sol = _solve_window(cfg)
         rows = list(zip(sol.x, sol.u, sol.u_x, sol.v))
         return _render(cfg, ("x", "u", "u_x", "v"), rows), True
 
     if cfg.what == "psi":
-        sol = _solve_window(cfg)
         field = PsiField(x=cfg.x, hm=sol)
         m = cfg.n if cfg.n is not None else 81
         lams = np.linspace(-1.0, 1.0, m)
@@ -318,10 +307,8 @@ def cmd_dump(cfg: RunConfig) -> tuple:
 
     # kernel matrix on the Nystrom nodes
     n = cfg.n if cfg.n is not None else 16
-    s = cfg.s_list[0]
-    sol = _solve_window(cfg) if cfg.kernel == "pii" else None
     spec = _spec_for(cfg, sol)
-    pts = s * gauss_legendre(n).nodes_f8
+    pts = cfg.s[0] * gauss_legendre(n).nodes_f8
     mat = kernel_matrix(spec, pts)
     header = tuple(f"c{j}" for j in range(n))
     rows = [tuple(float(v) for v in mat[i]) for i in range(n)]
@@ -355,10 +342,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        if cfg.output_path is None:
+        if cfg.out is None:
             sys.stdout.write(text)
         else:
-            with open(cfg.output_path, "w", encoding="ascii", newline="") as fh:
+            with open(cfg.out, "w", encoding="ascii", newline="") as fh:
                 fh.write(text)
     except OSError as e:
         print(f"gapdet: i/o: {e}", file=sys.stderr)

@@ -162,7 +162,7 @@ def _shift_x(spec: KernelSpec, dx: float) -> KernelSpec:
     if isinstance(spec, CubicSine):
         return CubicSine(t=spec.t, x=spec.x + dx)
     f = spec.field
-    shifted = psi.PsiField(x=spec.x + dx, hm=f.hm, x_start=f.x_start, tol=f.tol)
+    shifted = psi.PsiField(x=spec.x + dx, hm=f.hm, tol=f.tol)
     return PII(x=spec.x + dx, field=shifted)
 
 

@@ -366,13 +366,6 @@ class QuadratureRule:
     nodes: tuple
     weights: tuple
 
-    def nodes_dd(self):
-        """Nodes as a (hi, lo) ndarray pair."""
-        return self.nodes
-
-    def weights_dd(self):
-        return self.weights
-
     @property
     def nodes_f8(self) -> np.ndarray:
         return _frozen(self.nodes[0] + self.nodes[1])

@@ -4,7 +4,7 @@ solution, at real spectral parameter lambda.
 Two transport routes are implemented.
 
 The production route marches in x: the column is seeded far to the right
-(default x = 12.5) with its closed-form large-x behavior
+(at x = 12.5) with its closed-form large-x behavior
 psi11 ~ e^{-i theta}, psi21 ~ -i e^{+i theta}, theta = (4/3) lambda^3 + x
 lambda, where the seeding error is of order x^{-1/4} exp(-(2/3) x^{3/2}),
 about 1e-14 at 12.5, and then carried down to the target x along
@@ -76,6 +76,8 @@ __all__ = [
 # No field lies left of here, on any Hastings-McLeod window: psi_det, which
 # should be 1, reads 1 + 5e-4 at x = -10 and 2.25 at x = -12 (lambda = 0, 0.5).
 _X_MIN = -10.0
+# Every march starts here, from the closed-form far-field seed (module docstring).
+_X_START = 12.5
 
 
 @dataclass(eq=False)
@@ -96,15 +98,12 @@ class PsiField:
 
     x: float
     hm: Optional[HastingsMcLeodSolution]
-    x_start: float = 12.5
     tol: float = 1e-12
     cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol = {self.tol} must be finite and positive")
-        if not math.isfinite(self.x_start):
-            raise ValueError(f"x_start = {self.x_start} must be finite")
         if self.hm is not None and not self.hm.x_left <= self.x <= self.hm.x_right:
             raise ValueError(
                 f"x = {self.x} outside the solved window "
@@ -149,7 +148,7 @@ _SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(7, -1, -1)]
 
 
 def _grid(field_: PsiField) -> np.ndarray:
-    """Step ends from field_.x_start to field_.x, steps ~ u^(-1/7), capped.
+    """Step ends from _X_START to field_.x, steps ~ u^(-1/7), capped.
 
     The local error of a Magnus step grows as u h^7, so a step of
     base * u^(-1/7) spends the same error wherever it sits, and
@@ -157,11 +156,11 @@ def _grid(field_: PsiField) -> np.ndarray:
     The steps are spread by equal increments of the integrated step
     density, sampled on a uniform grid; one ``_u`` call serves them all.
     """
-    span = field_.x - field_.x_start
+    span = field_.x - _X_START
     if span == 0.0:
-        return np.array([field_.x_start])
+        return np.array([_X_START])
     base = min(_H_BASE * (field_.tol / 1e-12) ** (1.0 / 6.0), _H_MAX)
-    xs = np.linspace(field_.x_start, field_.x, math.ceil(abs(span) * _U_SAMPLES) + 1)
+    xs = np.linspace(_X_START, field_.x, math.ceil(abs(span) * _U_SAMPLES) + 1)
     density = np.maximum(np.abs(field_._u(xs)) ** (1.0 / 7.0) / base, 1.0 / _H_MAX)
     steps = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]))])
     steps *= abs(span) / (len(xs) - 1)
@@ -217,7 +216,7 @@ def _march(field_: PsiField, lams: np.ndarray, want_matrix: bool) -> np.ndarray:
     march order.  Every operation is elementwise in lambda.  A transfer
     matrix keeps the form [[p, q], [conj q, conj p]], so only (p, q) is
     carried, and phi2 = -i conj(phi1) is exact.  The seed does not depend
-    on x_start.  The rotation is put back at field_.x,
+    on _X_START.  The rotation is put back at field_.x,
     psi = e^{-i lambda x sigma3} phi.
 
     Returns shape (m, 2) column states psi, or (m, 2, 2) frames when

@@ -3,6 +3,7 @@ import pytest
 
 from gapdet import solve_hm
 from gapdet.painleve2 import HastingsMcLeodSolution
+from gapdet.psi import _X_START
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +50,7 @@ def dop853_columns():
 
     scipy's eighth-order DOP853 marches psi itself (not the rotation-free
     state psi.py integrates) at rtol 1e-13, from the same far-field seed at
-    field.x_start and with the same u, down to field.x.  Returns psi11 and
+    psi._X_START and with the same u, down to field.x.  Returns psi11 and
     psi21 there as two arrays.
     """
     from scipy.integrate import solve_ivp
@@ -64,9 +65,9 @@ def dop853_columns():
             return np.concatenate([-1j * lams * p1 + 1j * u * p2,
                                    -1j * u * p1 + 1j * lams * p2])
 
-        th0 = (4.0 / 3.0) * lams**3 + field.x_start * lams
+        th0 = (4.0 / 3.0) * lams**3 + _X_START * lams
         y0 = np.concatenate([np.exp(-1j * th0), -1j * np.exp(1j * th0)])
-        y = solve_ivp(rhs, (field.x_start, field.x), y0, method="DOP853",
+        y = solve_ivp(rhs, (_X_START, field.x), y0, method="DOP853",
                       rtol=1e-13, atol=1e-15).y[:, -1]
         return y[:m], y[m:]
 

@@ -1,6 +1,8 @@
 """Command-line surface: parsing, rendering, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +125,33 @@ def test_usage_errors(capsys):
     assert main(["verify", "--formula", "logxasy", "--x", "-9.9995"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "x = -9.9995 with h = 0.001" in err and "-10.0005" not in err
+    # the psi dump's --n is a sample count: an empty or negative one is refused
+    for n in ("0", "-3"):
+        assert main(["dump", "--what", "psi", "--n", n]) == EXIT_USAGE
+        assert "gapdet: --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # flags the subcommand does not declare
+    ("det --kernel sine --x 1 --s 1 --t 0.3 --tol 5 --hm-window=-9,7,0.005", "--tol"),
+    ("dump --what hm --kernel csin --s 3 --x 5 --tol 1 --n 3", "--tol"),
+    # flags the subcommand declares but this request would not read
+    ("verify --formula dyson --s 5 --t 0.2", "--t"),
+    ("det --kernel pii --x 0 --s 1 --t 0.5", "--t"),
+    ("det --kernel csin --s 1 --hm-window=-9,7,0.005", "--hm-window"),
+    ("verify --formula logsasy --s 1.8 --n 32", "--n"),
+    ("dump --what hm --n 3", "--n"),
+    ("dump --what psi --kernel pii", "--kernel"),
+    ("dump --what hm --s 3", "--s"),
+    ("dump --what hm --x 5", "--x"),
+    ("dump --what kernel --s 1,2", "--s"),
+    ("dump --what kernel --psi-R 8", "--psi-R"),
+])
+def test_unread_flag_is_refused(capsys, argv, flag):
+    assert main(argv.split()) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f" {flag} " in captured.err  # the flag itself, not one it prefixes
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):
@@ -191,3 +220,17 @@ def test_dump_kernel_grid_is_symmetric(capsys):
     for i in range(8):
         for j in range(8):
             assert rows[i][j] == rows[j][i]
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("gapdet ")]
+
+
+def test_readme_command_lines_run(capsys):
+    argvs = _readme_command_lines()
+    assert len(argvs) >= 5
+    failed = [" ".join(argv) for argv in argvs if main(argv) != EXIT_OK]
+    capsys.readouterr()
+    assert failed == []

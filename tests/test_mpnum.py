@@ -136,8 +136,8 @@ def test_str_renders_40_digits_without_touching_the_decimal_context():
 
 def _dd_terms(rule):
     """Iterate (node, weight) per abscissa as mpmath values from both limbs."""
-    nh, nl = rule.nodes_dd()
-    wh, wl = rule.weights_dd()
+    nh, nl = rule.nodes
+    wh, wl = rule.weights
     for i in range(rule.order):
         yield (mpmath.mpf(nh[i]) + mpmath.mpf(nl[i]),
                mpmath.mpf(wh[i]) + mpmath.mpf(wl[i]))
@@ -159,8 +159,8 @@ def test_rule_n1_and_n2_closed_forms():
 @pytest.mark.parametrize("n", [2, 7, 24, 61, 150])
 def test_rule_structure(n):
     r = gauss_legendre(n)
-    nh, nl = r.nodes_dd()
-    wh, wl = r.weights_dd()
+    nh, nl = r.nodes
+    wh, wl = r.weights
     assert r.order == n and len(nh) == n == len(wh)
     # exact antisymmetry, in both limbs
     assert np.array_equal(nh, -nh[::-1]) and np.array_equal(nl, -nl[::-1])
@@ -223,8 +223,8 @@ def _newton_rule_40_digits(n):
 @pytest.mark.parametrize("n", [3, 24, 32, 64, 128, 256, 400])
 def test_rule_against_an_independent_40_digit_newton(n):
     r = gauss_legendre(n)
-    nh, nl = r.nodes_dd()
-    wh, wl = r.weights_dd()
+    nh, nl = r.nodes
+    wh, wl = r.weights
     half = _newton_rule_40_digits(n)
     D = decimal.Decimal
     with decimal.localcontext() as ctx:
@@ -247,7 +247,7 @@ def test_rule_order_bounds():
 def test_rule_is_deterministic():
     a = gauss_legendre(37)
     b = gauss_legendre(37)
-    for x, y in zip(a.nodes_dd() + a.weights_dd(), b.nodes_dd() + b.weights_dd()):
+    for x, y in zip(a.nodes + a.weights, b.nodes + b.weights):
         assert np.array_equal(x, y)
 
 

@@ -33,8 +33,8 @@ def field8(hm):
 
 def test_zero_potential_reduces_to_pure_oscillation():
     # With no potential attached the system decouples and the columns are
-    # exactly (exp(-i theta), -i exp(+i theta)); at x = x_start the march
-    # takes no step at all.
+    # exactly (exp(-i theta), -i exp(+i theta)); at x = 12.5, where every march
+    # starts, it takes no step at all.
     for f in (PsiField(x=1.0, hm=None), PsiField(x=12.5, hm=None)):
         for lam in (-3.0, -0.7, 0.0, 1.3, 4.0):
             c = psi_column(f, lam)
@@ -156,7 +156,7 @@ def test_ladder_batch_steps_over_the_decayed_potential(hm):
 
 def test_potential_is_the_profile_in_the_window_and_airy_beyond():
     # u is the profile up to x_right, node included, and Ai right of it, so
-    # the window's end cubic is never extrapolated towards x_start
+    # the window's end cubic is never extrapolated towards the march start, 12.5
     wide = solve_hm(x_left=-20.0, h=0.004)
     f = PsiField(x=-5.0, hm=wide)
     xs = np.array([-15.0, 0.5, 8.0, 9.5, 12.5])
@@ -316,12 +316,10 @@ def test_field_window_validation(hm):
         PsiField(x=8.5, hm=hm)
     with pytest.raises(ValueError):
         PsiField(x=-10.5, hm=hm)
-    # a bad march tolerance or start must fail here, not inside the first march
-    nan = float("nan")
-    for kwargs in ({"tol": 0.0}, {"tol": -1e-12}, {"tol": nan}, {"tol": math.inf},
-                   {"x_start": nan}, {"x_start": math.inf}):
+    # a bad march tolerance must fail here, not inside the first march
+    for tol in (0.0, -1e-12, float("nan"), math.inf):
         with pytest.raises(ValueError):
-            PsiField(x=0.0, hm=hm, **kwargs)
+            PsiField(x=0.0, hm=hm, tol=tol)
 
 
 def test_ray_path_name_validation(field0):
