@@ -3,7 +3,9 @@ interface: the sine kernel, its cubic-phase generalization, and the kernel
 built from the Hastings-McLeod column.
 
 Every value is computed by ``kernel_matrix``; ``kernel_eval`` and
-``kernel_diag`` read one entry of it.  Evaluation conventions that matter
+``kernel_diag`` read one entry of it.  ``kernel_dx_matrix`` is dK/dx on
+the same points, for the x-slope of the determinant; the trig kernels
+build it from the same phase.  Evaluation conventions that matter
 numerically:
 
 * The trig kernels share one code path.  The phase is factored as
@@ -47,6 +49,7 @@ __all__ = [
     "PII",
     "Sine",
     "kernel_diag",
+    "kernel_dx_matrix",
     "kernel_eval",
     "kernel_matrix",
 ]
@@ -146,11 +149,10 @@ def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
     in a second batch.
     """
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    d = pts[:, None] - pts[None, :]
-    near = np.abs(d) < _TAYLOR_RADIUS
-
     if isinstance(spec, PII):
+        n = len(pts)
+        d = pts[:, None] - pts[None, :]
+        near = np.abs(d) < _TAYLOR_RADIUS
         mid = 0.5 * (pts[:, None] + pts[None, :])
         a, b, diag = _columns_and_diagonal(spec.field, pts)
         num = b[:, None] * a[None, :] - b[None, :] * a[:, None]
@@ -169,8 +171,54 @@ def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
 
     # Built in place: at n = 256 each n x n temporary is 0.5 MB, and the
     # assembly's peak is what a ladder's top rung adds to a process.
-    t = spec.t if isinstance(spec, CubicSine) else 0.0
-    x = spec.x
+    g, safe, near = _trig_phase(spec, pts)
+    np.sin(g, out=g)
+    safe *= math.pi
+    g /= safe
+    t, x = _trig_params(spec)
+    i, j = np.nonzero(near)
+    mid = 0.5 * (pts[i] + pts[j])
+    g[near] = (4.0 * t * mid * mid + x) / math.pi
+    return g
+
+
+def kernel_dx_matrix(spec: KernelSpec, points) -> np.ndarray:
+    """dK/dx sampled on points x points, vectorized, exactly symmetric.
+
+    For the trig kernels the phase is linear in x with slope lambda - mu,
+    so dK/dx = cos(Phi) / pi, and 1/pi on pairs inside the switch radius.
+    For the column-based kernel the x-equation of the Lax pair gives
+    dK/dx = i (psi21(lambda) psi11(mu) + psi21(mu) psi11(lambda)) / (2 pi),
+    which has no quotient and no diagonal special case; its columns are
+    the ones ``kernel_matrix`` marched on the same points, read from the
+    cache, and the values pass the same imaginary-part check.
+    """
+    pts = np.asarray(points, dtype=float)
+    if isinstance(spec, PII):
+        cols = psi_columns(spec.field, pts)
+        a, b = cols[:, 0], cols[:, 1]
+        num = b[:, None] * a[None, :]
+        num = num + num.T
+        return _real(1j * num / _TWO_PI, "x-derivative")
+    g, _, near = _trig_phase(spec, pts)
+    np.cos(g, out=g)
+    g /= math.pi
+    g[near] = 1.0 / math.pi
+    return g
+
+
+def _trig_params(spec: KernelSpec) -> tuple:
+    return (spec.t if isinstance(spec, CubicSine) else 0.0), spec.x
+
+
+def _trig_phase(spec: KernelSpec, pts: np.ndarray) -> tuple:
+    """The trig kernels' phase Phi = |lambda - mu| g on points x points, with
+    the symmetric g of the module docstring, built in place.  Pairs inside
+    the switch radius get |lambda - mu| = 1, so their entry is g alone and
+    the caller overwrites it.  Returns (Phi, |lambda - mu|, near mask)."""
+    t, x = _trig_params(spec)
+    d = pts[:, None] - pts[None, :]
+    near = np.abs(d) < _TAYLOR_RADIUS
     sq = pts ** 2
     g = sq[:, None] + sq[None, :]
     g += pts[:, None] * pts[None, :]
@@ -179,10 +227,4 @@ def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
     safe = np.abs(d, out=d)
     safe[near] = 1.0
     g *= safe
-    np.sin(g, out=g)
-    safe *= math.pi
-    g /= safe
-    i, j = np.nonzero(near)
-    mid = 0.5 * (pts[i] + pts[j])
-    g[near] = (4.0 * t * mid * mid + x) / math.pi
-    return g
+    return g, safe, near

@@ -6,6 +6,20 @@ from gapdet.painleve2 import HastingsMcLeodSolution
 from gapdet.psi import _X_START
 
 
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true",
+                     help="also run the tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="marked slow; run with --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def hm():
     """One boundary-value solve shared by every test that needs the potential."""

@@ -91,6 +91,15 @@ def test_verify_exponent_fit_with_trig_kernel(capsys):
     assert float(row[2]) == 6.0
 
 
+def test_verify_fcet_defaults_pass(capsys):
+    # fcet's own default request is at x = 0, where criterion 6 checks it;
+    # an explicit --x still wins
+    code, out = run(capsys, ["verify", "--formula", "fcet"])
+    assert code == EXIT_OK
+    assert 5.5 <= float(out.strip().split("\n")[1].split(",")[1]) <= 6.3
+    assert run(capsys, ["verify", "--formula", "fcet", "--x", "1.0"])[0] == EXIT_VERIFY_FAIL
+
+
 def test_usage_errors(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["det", "--kernel", "hexagon", "--s", "1.0"]) == EXIT_USAGE
@@ -120,13 +129,14 @@ def test_usage_errors(capsys):
         assert main(["verify", "--formula", formula, "--kernel", "csin", "--x", "1",
                      "--s", "1.0", "--n", "16"]) == EXIT_USAGE
         assert "--n" in capsys.readouterr().err
-    # the x-slope's difference steps past the window: the message names the
-    # x and h the request gave, not the shifted x
-    assert main(["verify", "--formula", "logxasy", "--x", "-9.9995"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "x = -9.9995 with h = 0.001" in err and "-10.0005" not in err
-    # the psi dump's --n is a sample count: an empty or negative one is refused
-    for n in ("0", "-3"):
+    # the x-slope takes no step in x, so it is computed up to the window's
+    # edge; there the formula misses by ~1.04 and the verdict fails
+    assert main(["verify", "--formula", "logxasy", "--x", "-9.9995"]) == EXIT_VERIFY_FAIL
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith(",false\n")
+    # the psi dump's --n is a sample count: an empty, negative or
+    # unboundedly large one is refused
+    for n in ("0", "-3", "2001"):
         assert main(["dump", "--what", "psi", "--n", n]) == EXIT_USAGE
         assert "gapdet: --n" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 """Determinant evaluation on symmetric intervals, plus the log-derivatives."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from gapdet import (
     dlogdet_ds,
     dlogdet_dx,
     gauss_legendre,
+    kernel_matrix,
     log_det,
     log_det_converged,
 )
@@ -281,10 +283,17 @@ def test_interval_derivative_matches_trace_expansion():
     assert abs(got - want) <= 1e-3
 
 
-def test_interval_derivative_is_stable_under_h_halving():
-    a = dlogdet_ds(Sine(x=1.0), 0.5, h=1e-3)
-    b = dlogdet_ds(Sine(x=1.0), 0.5, h=5e-4)
-    assert abs(a - b) <= 1e-4
+def test_interval_derivative_is_the_limit_of_centered_differences():
+    # A centered difference of the determinant misses the slope by h^2/6
+    # times the third derivative, plus O(h^4), so its gap to the analytic
+    # slope quarters as h halves; at s = 0.5 that gap is ~1e-7, far above
+    # the difference's rounding.
+    spec = Sine(x=1.0)
+    got = dlogdet_ds(spec, 0.5)
+    gaps = [float(log_det(spec, 0.5 + h, 64).log_det - log_det(spec, 0.5 - h, 64).log_det)
+            / (2.0 * h) - got for h in (1e-3, 5e-4)]
+    assert 1e-8 < abs(gaps[0]) < 1e-5
+    assert abs(gaps[1] / gaps[0] - 0.25) <= 0.01
 
 
 def test_parameter_derivative_small_interval():
@@ -298,15 +307,129 @@ def test_parameter_derivative_zero_t_matches_sine_bitwise():
     assert a == b
 
 
-def test_step_validation():
-    with pytest.raises(ValueError):
-        dlogdet_ds(Sine(x=1.0), 0.5, h=2e-3)
-    with pytest.raises(ValueError):
-        dlogdet_ds(Sine(x=1.0), 0.5, h=0.0)
-    with pytest.raises(ValueError):
-        dlogdet_ds(Sine(x=1.0), 0.0005, h=1e-3)
-    # the x-derivative has no s - h constraint
-    dlogdet_dx(Sine(x=1.0), 0.0005, h=1e-4)
+def test_slope_domain(hm):
+    # no difference step: no h to pass, any s the determinant takes, and
+    # at s = 0 the interval slope is -2 K(0, 0)
+    with pytest.raises(TypeError):
+        dlogdet_ds(Sine(x=1.0), 0.5, h=1e-3)
+    for slope in (dlogdet_ds, dlogdet_dx):
+        with pytest.raises(ValueError):
+            slope(Sine(x=1.0), -0.1)
+        with pytest.raises(ValueError):
+            slope(CubicSine(t=1.0, x=1.0), 2.5)
+    assert dlogdet_ds(Sine(x=1.0), 0.0) == -2.0 / math.pi
+    assert dlogdet_dx(Sine(x=1.0), 0.0) == 0.0
+    assert abs(dlogdet_ds(Sine(x=1.0), 0.0005) - (-2.0 / math.pi)) <= 1e-3
+    # the x-slope works up to the edge of the kernel's domain: x = -10 for PII
+    edge = PII(x=-10.0, field=PsiField(x=-10.0, hm=hm))
+    assert math.isfinite(dlogdet_dx(edge, 0.5))
+
+
+def _richardson(f) -> float:
+    """The h -> 0 limit of (f(h) - f(-h)) / 2h from h = 1e-3 and 5e-4."""
+    d = [float(f(h) - f(-h)) / (2.0 * h) for h in (1e-3, 5e-4)]
+    return (4.0 * d[1] - d[0]) / 3.0
+
+
+def _slogdet_256(spec, s: float) -> float:
+    r = gauss_legendre(256)
+    sq = np.sqrt(s * r.weights_f8)
+    k = kernel_matrix(spec, s * r.nodes_f8)
+    sign, logabs = np.linalg.slogdet(np.eye(256) - (sq[:, None] * sq[None, :]) * k)
+    assert sign == 1.0
+    return float(logabs)
+
+
+def _dd_256(spec, s: float) -> ExtendedReal:
+    return log_det(spec, s, 256).log_det
+
+
+# Analytic slope minus the Richardson oracle at n = 256, as measured:
+#   (x, s)     PII ds   PII dx   CubicSine(t=1) ds  CubicSine(t=1) dx
+#   (-1, 2.0)  5.2e-8   2.6e-8   1.4e-9             3.1e-10
+#   ( 0, 1.6)  1.4e-10  6.6e-10  3.4e-11            4.1e-12
+#   ( 0, 2.0)  9.0e-8   4.6e-8   9.1e-9             1.6e-10
+#   ( 1, 1.6)  9.2e-10  2.0e-9   1.3e-10            4.5e-11
+#   ( 1, 2.0)  7.2e-7   5.2e-6   2.4e-7             8.0e-8
+# The oracle takes log det from slogdet, except for the CubicSine x-slope
+# at (1, 2.0): I - K is nearly singular there, and slogdet's rounding moves
+# that oracle by 3e-7 between n = 128 and 256 (it reads 3.2e-7 off), while
+# the double-double elimination holds it within 1e-7.  The PII x-slope at
+# (1, 2.0) is compared with fields at x +- h, which march on different
+# grids; that limits the reference to a few 1e-6.
+_ORACLE_POINTS = [
+    pytest.param(-1.0, 2.0, marks=pytest.mark.slow),
+    pytest.param(0.0, 1.6, marks=pytest.mark.slow),
+    (0.0, 2.0),
+    pytest.param(1.0, 1.6, marks=pytest.mark.slow),
+    (1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("x, s", _ORACLE_POINTS)
+def test_slopes_match_the_richardson_oracle(hm, x, s):
+    def pii(x_):
+        return PII(x=x_, field=PsiField(x=x_, hm=hm))
+
+    spec, csin = pii(x), CubicSine(t=1.0, x=x)
+    csin_dx_log_det = _dd_256 if (x, s) == (1.0, 2.0) else _slogdet_256
+    cases = [
+        ("PII ds", dlogdet_ds(pii(x), s),
+         _richardson(lambda h: _slogdet_256(spec, s + h)), 2e-6),
+        ("PII dx", dlogdet_dx(pii(x), s),
+         _richardson(lambda h: _slogdet_256(pii(x + h), s)), 2e-5 if x > 0.0 else 2e-7),
+        ("CubicSine ds", dlogdet_ds(csin, s),
+         _richardson(lambda h: _slogdet_256(csin, s + h)), 2e-6),
+        ("CubicSine dx", dlogdet_dx(csin, s),
+         _richardson(lambda h: csin_dx_log_det(CubicSine(t=1.0, x=x + h), s)), 2e-7),
+    ]
+    bad = [f"{name}: {got!r} vs {want!r}" for name, got, want, tol in cases
+           if not abs(got - want) <= tol]
+    assert bad == []
+
+
+def test_slope_noise_is_below_the_ladder_tolerance(hm):
+    # One ulp up at every 7th node of the profile moves log det by ~1e-10.
+    # A centered difference at h = 1e-3 turned that into 2.5e-8 in the
+    # interval slope; the resolvent formulas do not amplify it.
+    u = hm.u.copy()
+    u[::7] = np.nextafter(u[::7], np.inf)
+    nudged = dataclasses.replace(hm, u=u)
+
+    def slopes(sol):
+        return [slope(PII(x=1.0, field=PsiField(x=1.0, hm=sol)), 2.0)
+                for slope in (dlogdet_ds, dlogdet_dx)]
+
+    moves = [abs(a - b) for a, b in zip(slopes(hm), slopes(nudged))]
+    assert max(moves) <= 1e-8
+
+
+def test_slopes_run_no_double_double_elimination(hm, monkeypatch):
+    def refuse(m):
+        raise AssertionError("a slope called log_det_lu")
+
+    monkeypatch.setattr(gapdet.fredholm, "log_det_lu", refuse)
+    for spec in (PII(x=0.0, field=PsiField(x=0.0, hm=hm)), CubicSine(t=1.0, x=1.0)):
+        assert math.isfinite(dlogdet_ds(spec, 2.0))
+        assert math.isfinite(dlogdet_dx(spec, 2.0))
+
+
+def test_slope_rung_integrity(monkeypatch):
+    # A solve that fails, or one that comes back non-finite, fails its rung;
+    # failing at every rung, the top one raises.
+    def singular(m, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "solve", singular)
+        for slope in (dlogdet_ds, dlogdet_dx):
+            with pytest.raises(DetIntegrityError, match="not solvable"):
+                slope(Sine(x=1.0), 0.5)
+    monkeypatch.setattr(gapdet.fredholm, "kernel_matrix",
+                        lambda spec, pts: np.full((len(pts), len(pts)), np.nan))
+    for slope in (dlogdet_ds, dlogdet_dx):
+        with pytest.raises(DetIntegrityError, match="not finite"):
+            slope(Sine(x=1.0), 0.5)
 
 
 def test_argument_validation(hm):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gapdet.psi
+from gapdet.kernels import kernel_dx_matrix
 from gapdet import (
     CubicSine,
     KernelIntegrityError,
@@ -207,3 +208,36 @@ def test_poisoned_cache_is_caught(hm):
     # neighbours are clean
     with pytest.raises(KernelIntegrityError, match="diagonal"):
         kernel_matrix(spec, np.array([0.5 - 2e-7, 0.5 + 2e-7]))
+
+
+def test_x_derivative_matches_a_difference_in_x(hm):
+    # Nodes of a 12-point rule on (-2, 2), plus a pair inside the switch
+    # radius; a centered difference at h = 1e-4 is good to ~1e-8.
+    pts = np.concatenate([2.0 * gauss_legendre(12).nodes_f8, [0.3, 0.3 + 1e-7]])
+    h = 1e-4
+    makers = (
+        lambda x: Sine(x=x),
+        lambda x: CubicSine(t=1.0, x=x),
+        lambda x: PII(x=x, field=PsiField(x=x, hm=hm)),
+    )
+    for make in makers:
+        for x in (-1.0, 1.0):
+            got = kernel_dx_matrix(make(x), pts)
+            fd = (kernel_matrix(make(x + h), pts) - kernel_matrix(make(x - h), pts)) / (2.0 * h)
+            assert np.array_equal(got, got.T)
+            assert np.max(np.abs(got - fd)) <= 3e-8
+
+
+def test_x_derivative_zero_t_is_the_sine_kernels_bitwise():
+    pts = np.linspace(-2.0, 2.0, 21)
+    got = kernel_dx_matrix(CubicSine(t=0.0, x=1.3), pts)
+    assert np.array_equal(got, kernel_dx_matrix(Sine(x=1.3), pts))
+    assert np.all(np.diagonal(got) == 1.0 / math.pi)
+
+
+def test_poisoned_cache_is_caught_by_the_x_derivative(hm):
+    f = PsiField(x=1.0, hm=hm)
+    good = psi_column(f, 0.5)
+    f.cache[0.5] = good * np.array([np.exp(0.3j), 1.0])
+    with pytest.raises(KernelIntegrityError, match="x-derivative"):
+        kernel_dx_matrix(PII(x=1.0, field=f), np.array([0.5, 1.0]))
