@@ -1,13 +1,14 @@
 """Gap probabilities for the cubic-sine and Painleve-II kernels via
 high-precision Fredholm determinants.
 
-The pieces, bottom up: double-double arithmetic, Gauss-Legendre rules and
-an extended-precision LU (`mpnum`); Airy functions and the expansion
-constants (`specfun`); the Hastings-McLeod solution and its tail integral
-(`painleve2`); the transported linear-system columns (`psi`); the kernels
-(`kernels`); Nystrom determinants and log-derivatives (`fredholm`); the
-closed-form predictions and the exponent fit (`asympt`); and a CLI
-(`cli`, installed as ``gapdet``).
+The pieces, bottom up: double-double arithmetic on (hi, lo) pairs,
+Gauss-Legendre rules and an extended-precision LU (`mpnum`); Airy functions
+and the expansion constants as exact rationals (`specfun`); the
+Hastings-McLeod solution and its tail integral (`painleve2`); the
+transported linear-system columns (`psi`); the kernels (`kernels`);
+Nystrom determinants and log-derivatives (`fredholm`); the closed-form
+predictions and the exponent fit (`asympt`); and a CLI (`cli`, installed
+as ``gapdet``).
 """
 
 from .asympt import (
@@ -38,7 +39,6 @@ from .kernels import (
     kernel_matrix,
 )
 from .mpnum import (
-    ExtendedReal,
     LogDetResult,
     NewtonConvergenceError,
     QuadratureRule,
@@ -73,7 +73,6 @@ __all__ = [
     "CubicSine",
     "DetEvaluation",
     "DetIntegrityError",
-    "ExtendedReal",
     "HastingsMcLeodSolution",
     "KernelIntegrityError",
     "KernelSpec",

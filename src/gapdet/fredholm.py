@@ -8,7 +8,8 @@ itself is only good to ~1e-9 anyway) and eliminated in double-double.  That
 buys no accuracy: even at log det ~ -62 the smallest pivot is moderate (0.56
 for PII at x = 1, s = 2, n = 256), so the binary64 assembly sets the error.
 The double-double LU stays until a binary64 factorization, trusted by the
-conditioning of I - K, replaces it.
+conditioning of I - K, replaces it; log det leaves it as the binary64 sum
+of its two words, and the ladder's gap is a binary64 difference.
 
 The slopes need no determinant, only one binary64 solve with the same M
 per rung (Tracy and Widom 1994; Bornemann 2010):
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import psi
 from .kernels import CubicSine, KernelSpec, PII, Sine, kernel_dx_matrix, kernel_matrix
-from .mpnum import ExtendedReal, gauss_legendre, log_det_lu
+from .mpnum import gauss_legendre, log_det_lu
 
 __all__ = [
     "DetEvaluation",
@@ -58,8 +59,8 @@ class DetEvaluation:
     spec: KernelSpec
     s: float
     n: int
-    log_det: ExtendedReal
-    pivot_min: ExtendedReal
+    log_det: float
+    pivot_min: float
     converged: bool
 
 
@@ -87,16 +88,19 @@ def _rule(n: int):
     return _rules[n]
 
 
-def _scaled_rule(s: float, n: int) -> tuple:
-    """Nodes on (-s, s) and the square roots of their weights, at order n."""
-    rule = _rule(n)
-    return s * rule.nodes_f8, np.sqrt(s * rule.weights_f8)
-
-
 def _check_s(spec: KernelSpec, s: float):
     cap = _s_cap(spec)
     if not 0.0 <= s <= cap:
         raise ValueError(f"s = {s} outside [0, {cap}] for {type(spec).__name__}")
+
+
+def _nystrom(spec: KernelSpec, s: float, n: int, extra=()) -> tuple:
+    """(M, nodes, sqrt(w), K) of the order-n rung on (-s, s), with K on the
+    nodes and then the ``extra`` points, M = I - W^1/2 K W^1/2 on the nodes."""
+    rule = _rule(n)
+    xi, sq = s * rule.nodes_f8, np.sqrt(s * rule.weights_f8)
+    k = kernel_matrix(spec, np.concatenate([xi, extra]) if len(extra) else xi)
+    return np.eye(n) - (sq[:, None] * sq[None, :]) * k[:n, :n], xi, sq, k
 
 
 def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
@@ -105,17 +109,17 @@ def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
         raise ValueError(f"n = {n} outside [{_N_MIN}, {_N_MAX}]")
     _check_s(spec, s)
     if s == 0.0:
-        return DetEvaluation(spec, s, n, ExtendedReal(0.0), ExtendedReal(1.0), True)
+        return DetEvaluation(spec, s, n, 0.0, 1.0, True)
 
-    xi, sq = _scaled_rule(s, n)
-    m = np.eye(n) - (sq[:, None] * sq[None, :]) * kernel_matrix(spec, xi)
-    res = log_det_lu(m)
-    if res.sign != 1 or not float(res.log_abs_det) <= 0.0:
+    # only M is kept: K is freed before the elimination
+    res = log_det_lu(_nystrom(spec, s, n)[0])
+    value = res.log_abs_det[0] + res.log_abs_det[1]
+    if res.sign != 1 or not value <= 0.0:
         raise DetIntegrityError(
             f"det(I - K) outside (0, 1]: sign {res.sign}, "
-            f"log|det| {float(res.log_abs_det):.6g} at s = {s}, n = {n}"
+            f"log|det| {value:.6g} at s = {s}, n = {n}"
         )
-    return DetEvaluation(spec, s, n, res.log_abs_det, res.pivot_min, False)
+    return DetEvaluation(spec, s, n, value, res.pivot_min, False)
 
 
 def _ladder(spec: KernelSpec, s: float, rung, agree, extra=()):
@@ -162,7 +166,7 @@ def log_det_converged(spec: KernelSpec, s: float) -> DetEvaluation:
     """
     ev, converged = _ladder(
         spec, s, log_det,
-        lambda ev, prev: abs(float(ev.log_det - prev.log_det)) <= _LADDER_TOL)
+        lambda ev, prev: abs(ev.log_det - prev.log_det) <= _LADDER_TOL)
     return replace(ev, converged=True) if converged else ev
 
 
@@ -185,9 +189,7 @@ def _solve(m: np.ndarray, rhs: np.ndarray, s: float, n: int) -> np.ndarray:
 def _ds_rung(spec: KernelSpec, s: float, n: int) -> float:
     """-(R(s, s) + R(-s, -s)) at order n, with R(y, y) = K(y, y) + b^T M^-1 b,
     b = W^1/2 K(x., y), from one kernel assembly on the nodes and +-s."""
-    xi, sq = _scaled_rule(s, n)
-    k = kernel_matrix(spec, np.concatenate([xi, [s, -s]]))
-    m = np.eye(n) - (sq[:, None] * sq[None, :]) * k[:n, :n]
+    m, _, sq, k = _nystrom(spec, s, n, extra=[s, -s])
     b = sq[:, None] * k[:n, n:]
     r = np.diagonal(k[n:, n:]) + np.einsum("ij,ij->j", b, _solve(m, b, s, n))
     return -float(r[0] + r[1])
@@ -195,9 +197,8 @@ def _ds_rung(spec: KernelSpec, s: float, n: int) -> float:
 
 def _dx_rung(spec: KernelSpec, s: float, n: int) -> float:
     """-tr(M^-1 W^1/2 dK/dx W^1/2) at order n."""
-    xi, sq = _scaled_rule(s, n)
+    m, xi, sq, _ = _nystrom(spec, s, n)
     w = sq[:, None] * sq[None, :]
-    m = np.eye(n) - w * kernel_matrix(spec, xi)
     return -float(np.trace(_solve(m, w * kernel_dx_matrix(spec, xi), s, n)))
 
 

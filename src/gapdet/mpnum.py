@@ -8,13 +8,15 @@ on binary64-assembled matrices it buys nothing (off a 40-digit reference by
 4.7e-10 at CubicSine(1, 1), s = 2, n = 96, where slogdet is off by 6.1e-10).
 Everything here is built on the classical error-free transformations
 (two_sum, two_prod with Dekker splitting), giving a pair (hi, lo) worth
-roughly 31 digits.  The same code runs on scalars and numpy arrays; the hot
-paths use arrays: the rule's one double-double pass of the Legendre
-recurrence over all its binary64 roots at once, the rank-1 LU update, and
-one dd_log on all pivots.  A rule takes its nodes and weights from that one
-pass (a Halley step for the node, a Taylor-corrected P_n' for the weight),
-so the four ladder orders 32-256 build in about 45 ms together on a 2-core
-host, against about 0.22 s with three passes.
+roughly 31 digits (the QD library's form: Hida, Li and Bailey, ARITH-15,
+2001), and the only one here: two floats or two arrays in and out.  The
+same code runs on scalars and numpy arrays; the hot paths use arrays: the
+rule's one double-double pass of the Legendre recurrence over all its
+binary64 roots at once, the rank-1 LU update, and one dd_log on all pivots.
+A rule takes its nodes and weights from that one pass (a Halley step for
+the node, a Taylor-corrected P_n' for the weight), so the four ladder
+orders 32-256 build in about 45 ms together on a 2-core host, against
+about 0.22 s with three passes.
 
 No FMA is assumed: ``math.fma`` does not exist on the oldest supported
 interpreter, and numpy does not expose one either, so ``two_prod`` always goes
@@ -24,13 +26,10 @@ through the splitting route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
 __all__ = [
-    "ExtendedReal",
     "QuadratureRule",
     "LogDetResult",
     "NewtonConvergenceError",
@@ -228,122 +227,6 @@ def dd_log(ah, al):
 
 
 # ---------------------------------------------------------------------------
-# scalar wrapper
-# ---------------------------------------------------------------------------
-
-_Num = Union["ExtendedReal", float, int]
-
-
-@dataclass(frozen=True)
-class ExtendedReal:
-    """An unevaluated binary64 pair hi + lo with |lo| <= ulp(hi)/2.
-
-    Supports mixed arithmetic with floats and ints.  Comparison is
-    lexicographic on (hi, lo), which matches value order for normalized
-    pairs.
-    """
-
-    hi: float
-    lo: float = 0.0
-
-    @staticmethod
-    def from_fraction(f: Fraction) -> "ExtendedReal":
-        hi = float(f)
-        lo = float(f - Fraction(hi))
-        return ExtendedReal(hi, lo)
-
-    @staticmethod
-    def from_string(s: str) -> "ExtendedReal":
-        """Parse a decimal literal exactly (used for stored constants)."""
-        return ExtendedReal.from_fraction(Fraction(s))
-
-    def __float__(self) -> float:
-        return float(self.hi + self.lo)
-
-    def __neg__(self) -> "ExtendedReal":
-        return ExtendedReal(-self.hi, -self.lo)
-
-    def __abs__(self) -> "ExtendedReal":
-        return -self if self.hi < 0.0 else self
-
-    @staticmethod
-    def _coerce(x: _Num) -> "ExtendedReal":
-        if isinstance(x, ExtendedReal):
-            return x
-        return ExtendedReal(float(x), 0.0)
-
-    def __add__(self, other: _Num) -> "ExtendedReal":
-        o = self._coerce(other)
-        return ExtendedReal(*dd_add(self.hi, self.lo, o.hi, o.lo))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: _Num) -> "ExtendedReal":
-        o = self._coerce(other)
-        return ExtendedReal(*dd_sub(self.hi, self.lo, o.hi, o.lo))
-
-    def __rsub__(self, other: _Num) -> "ExtendedReal":
-        o = self._coerce(other)
-        return ExtendedReal(*dd_sub(o.hi, o.lo, self.hi, self.lo))
-
-    def __mul__(self, other: _Num) -> "ExtendedReal":
-        o = self._coerce(other)
-        return ExtendedReal(*dd_mul(self.hi, self.lo, o.hi, o.lo))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: _Num) -> "ExtendedReal":
-        o = self._coerce(other)
-        return ExtendedReal(*dd_div(self.hi, self.lo, o.hi, o.lo))
-
-    def __rtruediv__(self, other: _Num) -> "ExtendedReal":
-        o = self._coerce(other)
-        return ExtendedReal(*dd_div(o.hi, o.lo, self.hi, self.lo))
-
-    def _key(self):
-        return (self.hi, self.lo)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (ExtendedReal, float, int)):
-            return self._key() == self._coerce(other)._key()
-        return NotImplemented
-
-    def __lt__(self, other: _Num) -> bool:
-        return self._key() < self._coerce(other)._key()
-
-    def __le__(self, other: _Num) -> bool:
-        return self._key() <= self._coerce(other)._key()
-
-    def __gt__(self, other: _Num) -> bool:
-        return self._key() > self._coerce(other)._key()
-
-    def __ge__(self, other: _Num) -> bool:
-        return self._key() >= self._coerce(other)._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def exp(self) -> "ExtendedReal":
-        return ExtendedReal(*(float(v) for v in dd_exp(self.hi, self.lo)))
-
-    def log(self) -> "ExtendedReal":
-        if self.hi <= 0.0:
-            raise ValueError("log of a non-positive ExtendedReal")
-        return ExtendedReal(*(float(v) for v in dd_log(self.hi, self.lo)))
-
-    def __repr__(self) -> str:
-        return f"ExtendedReal({self.hi!r}, {self.lo!r})"
-
-    def __str__(self) -> str:
-        # decimal rendering of the full 31-digit value, handy in test output
-        from decimal import Decimal, localcontext
-
-        with localcontext() as ctx:
-            ctx.prec = 40
-            return str((Decimal(self.hi) + Decimal(self.lo)).normalize())
-
-
-# ---------------------------------------------------------------------------
 # Gauss-Legendre rules
 # ---------------------------------------------------------------------------
 
@@ -466,14 +349,14 @@ def gauss_legendre(n: int) -> QuadratureRule:
 class LogDetResult:
     """Outcome of an extended-precision LU factorization.
 
-    ``log_abs_det`` is the natural log of |det|, ``sign`` is the sign of the
-    determinant, ``pivot_min`` the smallest absolute pivot seen (a cheap
-    conditioning diagnostic).
+    ``log_abs_det`` is the natural log of |det| as a (hi, lo) pair, ``sign``
+    is the sign of the determinant, ``pivot_min`` the smallest absolute
+    pivot seen in binary64 (a cheap conditioning diagnostic).
     """
 
-    log_abs_det: ExtendedReal
+    log_abs_det: tuple
     sign: int
-    pivot_min: ExtendedReal
+    pivot_min: float
 
 
 # Rows per slice of the rank-1 trailing update: its dozen temporaries then
@@ -525,7 +408,7 @@ def log_det_lu(matrix) -> LogDetResult:
                     ah[rows, k + 1:], al[rows, k + 1:], uh, ul
                 )
 
-    # |pivot| flips both words by the sign of hi, as abs(ExtendedReal) does
+    # |pivot| flips both words by the sign of hi
     flip = np.where(piv_h < 0.0, -1.0, 1.0)
     sign *= int(np.prod(flip))
     piv_h, piv_l = flip * piv_h, flip * piv_l
@@ -537,5 +420,4 @@ def log_det_lu(matrix) -> LogDetResult:
     for h, l in zip(lh.tolist(), ll.tolist()):
         acc_h, acc_l = dd_add(acc_h, acc_l, h, l)
     i = int(np.lexsort((piv_l, piv_h))[0])  # first smallest (hi, lo)
-    piv_min = ExtendedReal(float(piv_h[i]), float(piv_l[i]))
-    return LogDetResult(ExtendedReal(acc_h, acc_l), sign, piv_min)
+    return LogDetResult((acc_h, acc_l), sign, float(piv_h[i]) + float(piv_l[i]))

@@ -18,17 +18,17 @@ equally spaced points on [0.5, 40], the worst relative error of either
 function is 3.7e-14, set by the rounding of zeta in e^{-zeta} near x = 40.
 Left of 0.5 the Hastings-McLeod solve and the column march never need Ai
 (the solve's right edge is at x >= 6), so the domain stops there.
-The constants are stored as 36-digit literals in double-double.
+The constants are exact rationals, formed from 36-digit literals; callers
+round them once, with float().
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-
-from .mpnum import ExtendedReal
 
 __all__ = [
     "Constants",
@@ -38,33 +38,27 @@ __all__ = [
     "zeta_prime_minus1",
 ]
 
-# 36-digit literals, parsed exactly into double-double at import time.
+# 36-digit literals, parsed exactly at import time.
 # Each is validated by an independent oracle in the test suite.
-_ZETA_PRIME_MINUS1 = ExtendedReal.from_string("-0.165421143700450929213919660242780643")
-_LN2 = ExtendedReal.from_string("0.693147180559945309417232121458176568")
+_ZETA_PRIME_MINUS1 = Fraction("-0.165421143700450929213919660242780643")
+_LN2 = Fraction("0.693147180559945309417232121458176568")
 
 
 @dataclass(frozen=True)
 class Constants:
-    """The closed-form constants entering the large-gap expansions."""
+    """The closed-form constants entering the large-gap expansions, exactly."""
 
-    zeta_prime_minus1: ExtendedReal
-    ln2: ExtendedReal
-    omega0: ExtendedReal
-    dyson_const: ExtendedReal
-
-
-def _build_constants() -> Constants:
-    zp = _ZETA_PRIME_MINUS1
-    omega0 = -(_LN2 / 6) + 3 * zp
-    dyson = _LN2 / 12 + 3 * zp
-    return Constants(zp, _LN2, omega0, dyson)
+    zeta_prime_minus1: Fraction
+    ln2: Fraction
+    omega0: Fraction
+    dyson_const: Fraction
 
 
-CONSTANTS = _build_constants()
+CONSTANTS = Constants(_ZETA_PRIME_MINUS1, _LN2, -_LN2 / 6 + 3 * _ZETA_PRIME_MINUS1,
+                      _LN2 / 12 + 3 * _ZETA_PRIME_MINUS1)
 
 
-def zeta_prime_minus1() -> ExtendedReal:
+def zeta_prime_minus1() -> Fraction:
     """zeta'(-1), equal to 1/12 minus the log of the Glaisher constant."""
     return CONSTANTS.zeta_prime_minus1
 

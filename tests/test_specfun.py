@@ -1,6 +1,7 @@
-"""Airy evaluation and the extended-precision constant block."""
+"""Airy evaluation and the exact constant block."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,8 +12,8 @@ from gapdet.specfun import CONSTANTS, airy_ai, airy_ai_prime, zeta_prime_minus1
 mpmath.mp.dps = 50
 
 
-def _mp(x):
-    return mpmath.mpf(x.hi) + mpmath.mpf(x.lo)
+def _mp(x: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
 # --- constants ---------------------------------------------------------------
@@ -42,7 +43,7 @@ def test_constant_identity_between_the_two_tails():
 def test_zeta_prime_is_cached_or_stable():
     a = zeta_prime_minus1()
     b = zeta_prime_minus1()
-    assert a.hi == b.hi and a.lo == b.lo
+    assert isinstance(a, Fraction) and a == b
 
 
 # --- Airy --------------------------------------------------------------------
