@@ -79,15 +79,6 @@ def _s_cap(spec: KernelSpec) -> float:
     return 2.4
 
 
-_rules: dict = {}
-
-
-def _rule(n: int):
-    if n not in _rules:
-        _rules[n] = gauss_legendre(n)
-    return _rules[n]
-
-
 def _check_s(spec: KernelSpec, s: float):
     cap = _s_cap(spec)
     if not 0.0 <= s <= cap:
@@ -97,7 +88,7 @@ def _check_s(spec: KernelSpec, s: float):
 def _nystrom(spec: KernelSpec, s: float, n: int, extra=()) -> tuple:
     """(M, nodes, sqrt(w), K) of the order-n rung on (-s, s), with K on the
     nodes and then the ``extra`` points, M = I - W^1/2 K W^1/2 on the nodes."""
-    rule = _rule(n)
+    rule = gauss_legendre(n)
     xi, sq = s * rule.nodes_f8, np.sqrt(s * rule.weights_f8)
     k = kernel_matrix(spec, np.concatenate([xi, extra]) if len(extra) else xi)
     return np.eye(n) - (sq[:, None] * sq[None, :]) * k[:n, :n], xi, sq, k
@@ -135,13 +126,16 @@ def _ladder(spec: KernelSpec, s: float, rung, agree, extra=()):
     first two rungs, which the first gap compares, are marched in one
     batch before the first rung, together with any ``extra`` points the
     rung samples the kernel at; a higher rung's assembly marches its own
-    nodes when the ladder reaches it.
+    nodes when the ladder reaches it.  The field's column cache is emptied
+    first: its keys are s * node, which no ladder at another s asks for,
+    so a field shared across s holds one ladder's columns at a time.
     """
     _check_s(spec, s)
     if s == 0.0:
         return rung(spec, s, _LADDER[0]), True
     if isinstance(spec, PII):
-        lams = [s * _rule(n).nodes_f8 for n in _LADDER[:2]]
+        spec.field.cache.clear()
+        lams = [s * gauss_legendre(n).nodes_f8 for n in _LADDER[:2]]
         psi.psi_columns(spec.field, np.concatenate(lams + [np.asarray(extra, dtype=float)]))
     prev = None
     for n in _LADDER:

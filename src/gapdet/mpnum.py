@@ -12,11 +12,13 @@ roughly 31 digits (the QD library's form: Hida, Li and Bailey, ARITH-15,
 2001), and the only one here: two floats or two arrays in and out.  The
 same code runs on scalars and numpy arrays; the hot paths use arrays: the
 rule's one double-double pass of the Legendre recurrence over all its
-binary64 roots at once, the rank-1 LU update, and one dd_log on all pivots.
-A rule takes its nodes and weights from that one pass (a Halley step for
+binary64 roots at once, and the LU's multipliers and rank-1 update.  A
+rule takes its nodes and weights from that one pass (a Halley step for
 the node, a Taylor-corrected P_n' for the weight), so the four ladder
 orders 32-256 build in about 45 ms together on a 2-core host, against
-about 0.22 s with three passes.
+about 0.22 s with three passes.  What the LU does once per pivot or once
+per matrix (the pivot's reciprocal, the running product of the pivots,
+the one dd_log of that product) runs on Python floats.
 
 No FMA is assumed: ``math.fma`` does not exist on the oldest supported
 interpreter, and numpy does not expose one either, so ``two_prod`` always goes
@@ -25,6 +27,8 @@ through the splitting route.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,6 +267,7 @@ class QuadratureRule:
 _GL_ROWS = 64
 
 
+@functools.lru_cache(typed=True)
 def gauss_legendre(n: int) -> QuadratureRule:
     """Build the order-n Gauss-Legendre rule on [-1, 1].
 
@@ -273,7 +278,8 @@ def gauss_legendre(n: int) -> QuadratureRule:
     them P_n' and, through Legendre's equation, P_n'' and P_n'''.  The node
     is one Halley step from x0.  Its weight 2 / ((1 - x^2) P_n'(x)^2) takes
     P_n' at the node from the Taylor expansion about x0, whose first-order
-    term is carried in double-double.
+    term is carried in double-double.  Rules are memoized per order, so
+    every caller shares one read-only rule of each order.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise TypeError("order must be an integer")
@@ -370,8 +376,12 @@ def log_det_lu(matrix) -> LogDetResult:
 
     The entries are binary64; every update is carried as a (hi, lo) pair.
     Pivots are ranked by their hi component, which equals value order for
-    normalized pairs.  The pivots are kept, and their logs taken in one array
-    call of dd_log after the elimination and summed in pivot order.
+    normalized pairs.  Each step forms one scalar dd reciprocal of the
+    pivot's binary64 mantissa on Python floats and its multipliers from one
+    vector dd_mul, so no multiplier overflows a Dekker split.  The product
+    of the |pivots| is carried as a dd mantissa times 2^e, rescaled with
+    frexp at each step, and log |det| is one scalar dd_log of that
+    mantissa plus e ln 2.
     """
     ah = np.array(matrix, dtype=float)
     if ah.ndim != 2 or ah.shape[0] != ah.shape[1] or ah.shape[0] == 0:
@@ -382,42 +392,46 @@ def log_det_lu(matrix) -> LogDetResult:
     n = ah.shape[0]
 
     sign = 1
-    piv_h, piv_l = np.empty(n), np.empty(n)
+    dh, dl, e = 1.0, 0.0, 0     # product of the |pivots| = (dh + dl) 2^e
+    piv = (math.inf, 0.0)       # first smallest |pivot| as (hi, lo)
 
     for k in range(n):
-        col = np.abs(ah[k:, k])
-        p = k + int(np.argmax(col))
+        p = k + int(np.argmax(np.abs(ah[k:, k])))
         if ah[p, k] == 0.0 and al[p, k] == 0.0:
             raise SingularMatrixError(k)
         if p != k:
-            ah[[k, p], k:] = ah[[p, k], k:]
-            al[[k, p], k:] = al[[p, k], k:]
+            ah[k, k:], ah[p, k:] = ah[p, k:].copy(), ah[k, k:].copy()
+            al[k, k:], al[p, k:] = al[p, k:].copy(), al[k, k:].copy()
             sign = -sign
 
-        ph, pl = ah[k, k], al[k, k]
-        piv_h[k], piv_l[k] = ph, pl
+        # |pivot| flips both words by the sign of hi
+        ph, pl = float(ah[k, k]), float(al[k, k])
+        neg = ph < 0.0
+        if neg:
+            sign, ph, pl = -sign, -ph, -pl
+        piv = min(piv, (ph, pl))
+        fh, x = math.frexp(ph)
+        fl = math.ldexp(pl, -x)
+        dh, dl = dd_mul(dh, dl, fh, fl)
+        dh, y = math.frexp(dh)
+        dl, e = math.ldexp(dl, -y), e + x + y
 
         if k + 1 < n:
-            mh, ml = dd_div(ah[k + 1:, k], al[k + 1:, k], ph, pl)
-            rh, rl = ah[k, k + 1:], al[k, k + 1:]
+            # -1 / pivot = r 2^-x; the column, scaled by 2^-x, is at most 1
+            rh, rl = dd_div(1.0 if neg else -1.0, 0.0, fh, fl)
+            mh, ml = dd_mul(np.ldexp(ah[k + 1:, k], -x), np.ldexp(al[k + 1:, k], -x), rh, rl)
+            uh, ul = ah[k, k + 1:], al[k, k + 1:]
             for i in range(k + 1, n, _LU_ROWS):
                 rows = slice(i, i + _LU_ROWS)
                 mrows = slice(i - k - 1, i - k - 1 + _LU_ROWS)
-                uh, ul = dd_mul(mh[mrows, None], ml[mrows, None], rh[None, :], rl[None, :])
-                ah[rows, k + 1:], al[rows, k + 1:] = dd_sub(
-                    ah[rows, k + 1:], al[rows, k + 1:], uh, ul
+                th, tl = dd_mul(mh[mrows, None], ml[mrows, None], uh[None, :], ul[None, :])
+                ah[rows, k + 1:], al[rows, k + 1:] = dd_add(
+                    ah[rows, k + 1:], al[rows, k + 1:], th, tl
                 )
 
-    # |pivot| flips both words by the sign of hi
-    flip = np.where(piv_h < 0.0, -1.0, 1.0)
-    sign *= int(np.prod(flip))
-    piv_h, piv_l = flip * piv_h, flip * piv_l
-    with np.errstate(all="ignore"):
-        lh, ll = dd_log(piv_h, piv_l)
-    if not np.all(np.isfinite(lh + ll)):
-        raise ValueError("a pivot lies outside the domain of dd_log")
-    acc_h, acc_l = 0.0, 0.0
-    for h, l in zip(lh.tolist(), ll.tolist()):
-        acc_h, acc_l = dd_add(acc_h, acc_l, h, l)
-    i = int(np.lexsort((piv_l, piv_h))[0])  # first smallest (hi, lo)
-    return LogDetResult((acc_h, acc_l), sign, float(piv_h[i]) + float(piv_l[i]))
+    if not math.isfinite(dh):
+        raise ValueError("the elimination overflowed binary64")
+    # the mantissa is in [1/2, 1); doubled into [1, 2), a unit product logs to 0
+    lh, ll = dd_log(2.0 * dh, 2.0 * dl)
+    log_abs = dd_add(float(lh), float(ll), *dd_mul_f(_LN2_HI, _LN2_LO, float(e - 1)))
+    return LogDetResult(log_abs, sign, piv[0] + piv[1])

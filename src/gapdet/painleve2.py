@@ -286,17 +286,6 @@ def v_at(sol: HastingsMcLeodSolution, x: float) -> float:
     return float(ux * ux - x * u * u - u ** 4)
 
 
-_GL24 = None
-
-
-def _gl24():
-    global _GL24
-    if _GL24 is None:
-        r = gauss_legendre(24)
-        _GL24 = (r.nodes_f8, r.weights_f8)
-    return _GL24
-
-
 def _airy_tail_moment(big_x: float, x: float) -> float:
     """integral over [big_x, inf) of (y - x) Ai(y)^2 dy, in closed form.
 
@@ -323,7 +312,8 @@ def tw_integral(sol: HastingsMcLeodSolution, x: float) -> float:
         raise ValueError(
             f"x = {x} outside [{sol.x_left + 1.0}, {sol.x_right - 1.0}]"
         )
-    nodes, weights = _gl24()
+    rule = gauss_legendre(24)
+    nodes, weights = rule.nodes_f8, rule.weights_f8
     n_panels = max(1, int(np.ceil((sol.x_right - x) / 2.0)))
     edges = np.linspace(x, sol.x_right, n_panels + 1)
     mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])

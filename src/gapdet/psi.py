@@ -92,7 +92,9 @@ class PsiField:
     is elementwise in lambda, so a cached column does not depend, beyond
     about an ulp, on the batch that marched it.  A fresh field given the
     same requests reproduces every value bit for bit, which is why the CLI
-    gives each row its own.  x must be at least -10, even on a wider
+    gives each row its own.  The cache lives for one ladder: a PII ladder
+    empties it before its first march, since its keys (s * node) are not
+    asked for at any other s.  x must be at least -10, even on a wider
     window: further left the march loses psi_det = 1 at order 1.
     """
 

@@ -45,3 +45,29 @@ def test_tracer_counts_a_pii_ladder(hm):
     assert m["psi.lambdas_marched"] == 96
     assert m["fredholm.log_det.calls"] == 2
     assert m["mpnum.log_det_lu.n3_sum"] == 32 ** 3 + 64 ** 3
+
+
+def test_tracer_counts_ladders_on_a_shared_field(hm):
+    # A ladder empties its field's cache before its first march, and the
+    # tracer counts marched columns as the cache's growth over each
+    # psi_columns call, so two ladders on one field count what they count
+    # on fresh fields: 96 columns at s = 1.8 (n = 64), 224 at s = 2.0
+    # (n = 128).
+    tracer_mod = _load_tracer()
+    from gapdet import PII, PsiField, fredholm
+
+    def marched(runs):
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            with tracer.span("eval"):
+                for field, s in runs:
+                    fredholm.log_det_converged(PII(x=1.0, field=field), s)
+        finally:
+            tracer.uninstall()
+        return tracer_mod.layer_metrics(tracer)["psi.lambdas_marched"][0]
+
+    fresh = [marched([(PsiField(x=1.0, hm=hm), s)]) for s in (1.8, 2.0)]
+    assert fresh == [96, 224]
+    shared = PsiField(x=1.0, hm=hm)
+    assert marched([(shared, 1.8), (shared, 2.0)]) == sum(fresh)

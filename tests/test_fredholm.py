@@ -155,6 +155,16 @@ def test_a_field_shared_across_s_gives_the_fresh_field_values(hm):
         assert a.log_det == b.log_det
 
 
+def test_a_field_shared_across_s_holds_one_ladders_columns(hm):
+    # No ladder reads another s's columns, so each starts on an empty cache:
+    # after a sweep over seven s the field holds at most the 224 columns of
+    # a ladder that stops at n = 128, not the sum over the sweep.
+    shared = PsiField(x=1.0, hm=hm)
+    for s in (1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0):
+        log_det_converged(PII(x=1.0, field=shared), s)
+        assert len(shared.cache) <= 224
+
+
 def test_march_tolerance_bias_is_below_the_ladder_floor(hm):
     # The march's own error falls in proportion to tol, so tightening it
     # from the default to 1e-14 moves the n = 256 value at (1, 2.0), the
