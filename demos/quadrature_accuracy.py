@@ -5,21 +5,24 @@ Extended-precision quadrature and determinants
 Shows what the double-double layer buys: Gauss-Legendre rules whose nodes
 and weights carry ~32 significant digits in their (hi, lo) words, and an LU
 that gives log|det| of the matrix it is handed far more accurately than
-LAPACK's slogdet (for the 8x8 Hilbert matrix below, 1.3e-24 against
-6.4e-9).  Every error is measured in exact rational arithmetic.  What the
-LU does not buy is a better determinant of the matrix one meant: rounding
-the Hilbert entries to binary64 moves log|det| by 2.9e-9, about as far as
-slogdet's own error, and for a CubicSine(1, 1) kernel at s = 2, n = 96 the
-LU is off a 40-digit reference by 4.7e-10 and slogdet by 6.1e-10.
+LAPACK's slogdet (for the 8x8 Hilbert matrix below, 2.2e-24 against
+6.4e-9).  Every error is measured against exact rational arithmetic, its
+logs taken to 50 digits in decimal.  What the LU does not buy is a better
+determinant of the matrix one meant: rounding the Hilbert entries to
+binary64 moves log|det| by 2.9e-9, about as far as slogdet's own error, and
+for a CubicSine(1, 1) kernel at s = 2, n = 96 the LU is off a 40-digit
+reference by 4.7e-10 and slogdet by 6.1e-10.
 """
 
+import decimal
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from gapdet import gauss_legendre, log_det_lu
-from gapdet.mpnum import dd_exp
+
+D50 = decimal.Context(prec=50)
 
 
 def exact(hi, lo) -> Fraction:
@@ -27,9 +30,14 @@ def exact(hi, lo) -> Fraction:
     return Fraction(float(hi)) + Fraction(float(lo))
 
 
-def log_ratio(a: Fraction, b: Fraction) -> float:
-    """log(a / b), accurate for a / b near 1."""
-    return math.log1p(float(a / b - 1))
+def ln(q: Fraction) -> decimal.Decimal:
+    """log q of a positive rational, to 50 digits."""
+    return D50.subtract(D50.ln(q.numerator), D50.ln(q.denominator))
+
+
+def off(value: decimal.Decimal, q: Fraction) -> decimal.Decimal:
+    """|value - log q|, to 50 digits."""
+    return D50.abs(D50.subtract(value, ln(q)))
 
 
 # --- a rule is accurate to the second word ------------------------------------
@@ -66,13 +74,13 @@ res = log_det_lu(hilbert)
 sign, ref = np.linalg.slogdet(hilbert)
 print("log|det| of the 8x8 Hilbert matrix:", sum(res.log_abs_det))
 print("sign:", res.sign, " smallest pivot:", res.pivot_min)
-# each log|det| is mapped back by dd_exp, whose relative error is ~1e-29
+# each log|det| against the 50-digit log of the exact rational determinant
 print("LU error against the stored entries:      %.1e"
-      % abs(log_ratio(exact(*dd_exp(*res.log_abs_det)), det)))
+      % off(D50.add(*map(decimal.Decimal, res.log_abs_det)), det))
 print("slogdet error against the stored entries: %.1e"
-      % abs(log_ratio(exact(*dd_exp(ref, 0.0)), det)))
+      % off(decimal.Decimal(ref), det))
 
 # det H_n = c_n^4 / c_2n with c_n = 1! 2! ... (n-1)!, for the exact entries
 c = [math.prod(math.factorial(k) for k in range(m)) for m in (n, 2 * n)]
 print("rounding the entries moves log|det| by:  %.1e"
-      % abs(log_ratio(det, Fraction(c[0] ** 4, c[1]))))
+      % off(ln(det), Fraction(c[0] ** 4, c[1])))

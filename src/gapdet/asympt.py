@@ -53,7 +53,7 @@ def _leading(s: float, x: float) -> float:
 
 
 def _check_s(s: float):
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"s = {s} must be positive")
 
 
@@ -92,7 +92,7 @@ def theorem1_prediction(s: float, x: float,
 
 def dyson_sine_prediction(s: float, x: float) -> AsymptoticPrediction:
     """Sine-kernel large-gap expansion, a function of the product sx."""
-    if s * x <= 0.0:
+    if not s * x > 0.0:
         raise ValueError(f"s*x = {s * x} must be positive")
     lead = -0.5 * (x * s) ** 2 - 0.25 * math.log(s * x)
     return AsymptoticPrediction(

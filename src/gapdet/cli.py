@@ -41,7 +41,7 @@ from .painleve2 import (
     solve_hm,
     v_at,
 )
-from .psi import PsiField, psi_column_ray, psi_columns
+from .psi import PsiField, psi_columns
 
 __all__ = ["main"]
 
@@ -128,8 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump", help="dump solver internals as CSV/JSON")
     shared(p_dump, "kernel: quadrature order (default 16); psi: lambda samples (default 81)")
     p_dump.add_argument("--what", choices=("hm", "psi", "kernel"), required=True)
-    p_dump.add_argument("--psi-R", type=float, dest="psi_r",
-                        help="spectral-ray seed radius; a psi dump uses the ray route when set")
     return ap
 
 
@@ -161,8 +159,6 @@ _REFUSALS = (
     ("--s", "s", lambda c: c.what == "kernel" and len(c.s) > 1,
      "takes one value with --what kernel"),
     ("--x", "x", lambda c: c.what == "hm", "does not apply to --what hm"),
-    ("--psi-R", "psi_r", lambda c: c.what != "psi",
-     "applies to --what psi only, not --what {c.what}"),
 )
 
 
@@ -171,7 +167,7 @@ def _config(ns):
     message, every given flag that the request would not read or whose
     value it cannot take."""
     given = {name for name, v in vars(ns).items() if v is not None}
-    for name in ("formula", "what", "tol", "psi_r"):
+    for name in ("formula", "what", "tol"):
         vars(ns).setdefault(name, None)
     ns.hm_window = _parse_window(ns.hm_window) if ns.hm_window else (-10.0, 8.0, 0.002)
     kernel, s_list, x = _DEFAULTS[ns.formula] if ns.formula else ("sine", [1.0], 1.0)
@@ -298,10 +294,7 @@ def cmd_dump(cfg) -> tuple:
         field = PsiField(x=cfg.x, hm=sol)
         m = cfg.n if cfg.n is not None else 81
         lams = np.linspace(-1.0, 1.0, m)
-        if cfg.psi_r is not None:
-            cols = [psi_column_ray(field, float(v), R=cfg.psi_r) for v in lams]
-        else:
-            cols = psi_columns(field, lams)
+        cols = psi_columns(field, lams)
         rows = [(lam, a.real, a.imag, b.real, b.imag) for lam, (a, b) in zip(lams, cols)]
         header = ("lambda", "re_psi11", "im_psi11", "re_psi21", "im_psi21")
         return _render(cfg, header, rows), True

@@ -6,7 +6,7 @@ s = 2, binary64 Newton weights move log det by 5.8e-10, library rules by 4e-8
 to 1e-7.  The LU carries it only until a binary64 factorization replaces it:
 on binary64-assembled matrices it buys nothing (off a 40-digit reference by
 4.7e-10 at CubicSine(1, 1), s = 2, n = 96, where slogdet is off by 6.1e-10).
-Everything here is built on the classical error-free transformations
+The arithmetic is built on the classical error-free transformations
 (two_sum, two_prod with Dekker splitting), giving a pair (hi, lo) worth
 roughly 31 digits (the QD library's form: Hida, Li and Bailey, ARITH-15,
 2001), and the only one here: two floats or two arrays in and out.  The
@@ -16,9 +16,10 @@ binary64 roots at once, and the LU's multipliers and rank-1 update.  A
 rule takes its nodes and weights from that one pass (a Halley step for
 the node, a Taylor-corrected P_n' for the weight), so the four ladder
 orders 32-256 build in about 45 ms together on a 2-core host, against
-about 0.22 s with three passes.  What the LU does once per pivot or once
-per matrix (the pivot's reciprocal, the running product of the pivots,
-the one dd_log of that product) runs on Python floats.
+about 0.22 s with three passes.  The pivot's reciprocal, once per pivot,
+runs on Python floats.  The product of the pivots and its log are the
+standard library's: ``decimal`` at 40 digits, correctly rounded, with an
+exponent range that no product of binary64 pivots leaves.
 
 No FMA is assumed: ``math.fma`` does not exist on the oldest supported
 interpreter, and numpy does not expose one either, so ``two_prod`` always goes
@@ -27,6 +28,7 @@ through the splitting route.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -50,16 +52,10 @@ __all__ = [
     "dd_add_f",
     "dd_mul_f",
     "dd_div_f",
-    "dd_exp",
-    "dd_log",
 ]
 
 # Dekker splitting constant for binary64: 2**27 + 1.
 _SPLITTER = 134217729.0
-
-# ln 2 as a double-double, used by dd_exp / dd_log argument reduction.
-_LN2_HI = 0.6931471805599453
-_LN2_LO = 2.3190468138462996e-17
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -180,54 +176,6 @@ def dd_div_f(ah, al, b):
     q3 = rh / b
     qh, ql = quick_two_sum(q1, q2)
     return dd_add_f(qh, ql, q3)
-
-
-def dd_exp(ah, al):
-    """exp of a double-double, componentwise on arrays.
-
-    Argument reduction exp(a) = 2^k exp(r) with r = a - k ln2, then a further
-    exact scaling by 1/512 before the Taylor sum so that nine squarings
-    restore the result.  Relative error below ~1e-29 for -680 <= a <= 709.7;
-    below -680 the low word is subnormal, above 709.78 the result overflows.
-    """
-    k = np.rint(ah / _LN2_HI)
-    rh, rl = dd_add(ah, al, *dd_mul_f(_LN2_HI, _LN2_LO, -k))
-    # scale by 2**-9 exactly
-    rh, rl = rh / 512.0, rl / 512.0
-    # Taylor sum of exp(r) to degree 10: |r| <= 6.8e-4 after the reduction,
-    # so the first omitted term, r^11 / 11! < 4e-43, is far below the
-    # double-double resolution of ~1e-32
-    sh = np.ones_like(rh) if isinstance(rh, np.ndarray) else 1.0
-    sl = np.zeros_like(rh) if isinstance(rh, np.ndarray) else 0.0
-    th, tl = sh, sl
-    for j in range(1, 11):
-        th, tl = dd_mul(th, tl, rh, rl)
-        th, tl = dd_div_f(th, tl, float(j))
-        sh, sl = dd_add(sh, sl, th, tl)
-    for _ in range(9):
-        sh, sl = dd_mul(sh, sl, sh, sl)
-    # ldexp scales exactly; a Dekker split of 2**k overflows once k >= 997
-    k = np.asarray(k, dtype=np.int64)
-    return np.ldexp(sh, k), np.ldexp(sl, k)
-
-
-def dd_log(ah, al):
-    """Natural log of a positive double-double via Newton on exp.
-
-    Two corrections of y_{n+1} = y_n + a*exp(-y_n) - 1 starting from the
-    binary64 log; the iterate is carried as a dd pair throughout (dropping
-    the low word between steps costs ten digits).  Absolute error below ~3e-29
-    for 1e-300 <= a <= 1e295; outside about [7.5e-301, 1.3e300] a Dekker split
-    in the Newton step overflows and the result is NaN.
-    """
-    yh = np.log(ah)
-    yl = np.zeros_like(yh) if isinstance(yh, np.ndarray) else 0.0
-    for _ in range(2):
-        eh, el = dd_exp(-yh, -yl)
-        qh, ql = dd_mul(ah, al, eh, el)
-        qh, ql = dd_add_f(qh, ql, -1.0)
-        yh, yl = dd_add(yh, yl, qh, ql)
-    return yh, yl
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +317,13 @@ class LogDetResult:
 # hold at most _LU_ROWS rows, whatever n is.
 _LU_ROWS = 64
 
+# The product of the |pivots| and its log: 40 digits, and an exponent range
+# no product of binary64 pivots can leave.  Only this context's methods are
+# called, floats included, so a caller's decimal context is neither flagged
+# nor trapped (``Decimal(float)`` would raise under a trapped FloatOperation).
+# Its sticky flags are the only state the calls change, and nothing reads them.
+_DEC = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
 
 def log_det_lu(matrix) -> LogDetResult:
     """log |det| and sign of a square float matrix by LU with partial
@@ -379,9 +334,8 @@ def log_det_lu(matrix) -> LogDetResult:
     normalized pairs.  Each step forms one scalar dd reciprocal of the
     pivot's binary64 mantissa on Python floats and its multipliers from one
     vector dd_mul, so no multiplier overflows a Dekker split.  The product
-    of the |pivots| is carried as a dd mantissa times 2^e, rescaled with
-    frexp at each step, and log |det| is one scalar dd_log of that
-    mantissa plus e ln 2.
+    of the |pivots| is carried in 40-digit decimal, and log |det| is one
+    correctly rounded decimal ln of it, split into a (hi, lo) pair.
     """
     ah = np.array(matrix, dtype=float)
     if ah.ndim != 2 or ah.shape[0] != ah.shape[1] or ah.shape[0] == 0:
@@ -392,7 +346,7 @@ def log_det_lu(matrix) -> LogDetResult:
     n = ah.shape[0]
 
     sign = 1
-    dh, dl, e = 1.0, 0.0, 0     # product of the |pivots| = (dh + dl) 2^e
+    prod = decimal.Decimal(1)   # product of the |pivots|
     piv = (math.inf, 0.0)       # first smallest |pivot| as (hi, lo)
 
     for k in range(n):
@@ -406,18 +360,19 @@ def log_det_lu(matrix) -> LogDetResult:
 
         # |pivot| flips both words by the sign of hi
         ph, pl = float(ah[k, k]), float(al[k, k])
+        if not (math.isfinite(ph) and math.isfinite(pl)):
+            raise ValueError("the elimination overflowed binary64")
         neg = ph < 0.0
         if neg:
             sign, ph, pl = -sign, -ph, -pl
         piv = min(piv, (ph, pl))
-        fh, x = math.frexp(ph)
-        fl = math.ldexp(pl, -x)
-        dh, dl = dd_mul(dh, dl, fh, fl)
-        dh, y = math.frexp(dh)
-        dl, e = math.ldexp(dl, -y), e + x + y
+        prod = _DEC.multiply(prod, _DEC.add(_DEC.create_decimal_from_float(ph),
+                                            _DEC.create_decimal_from_float(pl)))
 
         if k + 1 < n:
             # -1 / pivot = r 2^-x; the column, scaled by 2^-x, is at most 1
+            fh, x = math.frexp(ph)
+            fl = math.ldexp(pl, -x)
             rh, rl = dd_div(1.0 if neg else -1.0, 0.0, fh, fl)
             mh, ml = dd_mul(np.ldexp(ah[k + 1:, k], -x), np.ldexp(al[k + 1:, k], -x), rh, rl)
             uh, ul = ah[k, k + 1:], al[k, k + 1:]
@@ -429,9 +384,7 @@ def log_det_lu(matrix) -> LogDetResult:
                     ah[rows, k + 1:], al[rows, k + 1:], th, tl
                 )
 
-    if not math.isfinite(dh):
-        raise ValueError("the elimination overflowed binary64")
-    # the mantissa is in [1/2, 1); doubled into [1, 2), a unit product logs to 0
-    lh, ll = dd_log(2.0 * dh, 2.0 * dl)
-    log_abs = dd_add(float(lh), float(ll), *dd_mul_f(_LN2_HI, _LN2_LO, float(e - 1)))
-    return LogDetResult(log_abs, sign, piv[0] + piv[1])
+    log_abs = _DEC.ln(prod)
+    hi = float(log_abs)
+    lo = float(_DEC.subtract(log_abs, _DEC.create_decimal_from_float(hi)))
+    return LogDetResult((hi, lo), sign, piv[0] + piv[1])

@@ -106,6 +106,8 @@ class PsiField:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol = {self.tol} must be finite and positive")
+        if not math.isfinite(self.x):
+            raise ValueError(f"x = {self.x} must be finite")
         if self.hm is not None and not self.hm.x_left <= self.x <= self.hm.x_right:
             raise ValueError(
                 f"x = {self.x} outside the solved window "

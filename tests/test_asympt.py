@@ -98,6 +98,18 @@ def test_domain_validation(hm):
         dyson_sine_prediction(6.0, -1.0)
 
 
+@pytest.mark.parametrize("predict", [
+    lambda s: theorem2_prediction(s, 1.0),
+    lambda s: dyson_sine_prediction(s, 1.0),
+    lambda s: logsasy_prediction(s, 1.0),
+    lambda s: logxasy_prediction(s, 1.0, 0.0),
+], ids=["theorem2", "dyson_sine", "logsasy", "logxasy"])
+def test_nan_s_is_refused(predict):
+    # a NaN fails every comparison, so it must not slip through as "not <= 0"
+    with pytest.raises(ValueError):
+        predict(float("nan"))
+
+
 # --- exponent fit -------------------------------------------------------------
 
 

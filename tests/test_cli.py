@@ -110,14 +110,8 @@ def test_usage_errors(capsys):
     for tol in ("nan", "-1", "inf", "-inf"):
         assert main(["verify", "--formula", "dyson", "--s", "4", "--tol", tol]) == EXIT_USAGE
     assert main(["dump", "--what", "everything"]) == EXIT_USAGE
-    assert main(["dump", "--what", "psi", "--psi-R", "0"]) == EXIT_USAGE
-    assert main(["dump", "--what", "psi", "--psi-R", "-8"]) == EXIT_USAGE
-    capsys.readouterr()
-    # --psi-R belongs to the psi dump: elsewhere it is refused, not ignored
-    assert main(["det", "--kernel", "pii", "--x", "0", "--s", "1", "--psi-R", "-3"]) == EXIT_USAGE
-    assert "--psi-R" in capsys.readouterr().err
-    assert main(["dump", "--what", "hm", "--psi-R", "8"]) == EXIT_USAGE
-    assert "--psi-R" in capsys.readouterr().err
+    # the psi dump has one route, the x-march: there is no ray seed to choose
+    assert main(["dump", "--what", "psi", "--psi-R", "8"]) == EXIT_USAGE
     assert main(["dump", "--what", "kernel", "--kernel", "csin", "--x", "nan",
                  "--s", "1", "--n", "4"]) == EXIT_USAGE
     assert main(["dump", "--what", "hm", "--hm-window=-inf,8,0.002"]) == EXIT_USAGE
@@ -145,6 +139,7 @@ def test_usage_errors(capsys):
     # flags the subcommand does not declare
     ("det --kernel sine --x 1 --s 1 --t 0.3 --tol 5 --hm-window=-9,7,0.005", "--tol"),
     ("dump --what hm --kernel csin --s 3 --x 5 --tol 1 --n 3", "--tol"),
+    ("dump --what kernel --psi-R 8", "--psi-R"),
     # flags the subcommand declares but this request would not read
     ("verify --formula dyson --s 5 --t 0.2", "--t"),
     ("det --kernel pii --x 0 --s 1 --t 0.5", "--t"),
@@ -155,7 +150,6 @@ def test_usage_errors(capsys):
     ("dump --what hm --s 3", "--s"),
     ("dump --what hm --x 5", "--x"),
     ("dump --what kernel --s 1,2", "--s"),
-    ("dump --what kernel --psi-R 8", "--psi-R"),
 ])
 def test_unread_flag_is_refused(capsys, argv, flag):
     assert main(argv.split()) == EXIT_USAGE
@@ -200,24 +194,12 @@ def test_dump_solution_table(capsys):
     assert float(first[0]) == -10.0
 
 
-def test_dump_columns_both_routes(capsys, hm):
+def test_dump_columns_table(capsys):
     code, out = run(capsys, ["dump", "--what", "psi", "--x", "1.0", "--n", "5"])
     assert code == EXIT_OK
     lines = out.strip().split("\n")
     assert lines[0] == "lambda,re_psi11,im_psi11,re_psi21,im_psi21"
     assert len(lines) == 6
-
-    code, out2 = run(capsys, ["dump", "--what", "psi", "--x", "1.0", "--n", "5",
-                              "--psi-R", "8.0"])
-    assert code == EXIT_OK
-    lines2 = out2.strip().split("\n")
-    assert lines2[0] == lines[0] and len(lines2) == 6
-    # the two routes agree to the documented O(1/R^2) seed bias of the
-    # ray seed, roughly 2e-4 at R=8
-    a = [float(v) for v in lines[3].split(",")[1:]]
-    b = [float(v) for v in lines2[3].split(",")[1:]]
-    assert max(abs(p - q) for p, q in zip(a, b)) <= 1e-3
-    assert out2 != out
 
 
 def test_dump_kernel_grid_is_symmetric(capsys):

@@ -316,6 +316,10 @@ def test_field_window_validation(hm):
         PsiField(x=8.5, hm=hm)
     with pytest.raises(ValueError):
         PsiField(x=-10.5, hm=hm)
+    # without a solution there is no window, but x must still be finite
+    for x in (math.inf, float("nan")):
+        with pytest.raises(ValueError):
+            PsiField(x=x, hm=None)
     # a bad march tolerance must fail here, not inside the first march
     for tol in (0.0, -1e-12, float("nan"), math.inf):
         with pytest.raises(ValueError):

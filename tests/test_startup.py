@@ -63,6 +63,5 @@ def test_pii_request_loads_no_scipy(argv):
 
 def test_ray_route_loads_no_scipy():
     # one lambda keeps the probe cheap
-    argv = ["dump", "--what", "psi", "--psi-R", "8", "--n", "1"]
-    code = f"from gapdet import cli\nassert cli.main({argv!r}) == 0"
+    code = "import gapdet\ngapdet.psi_column_ray(gapdet.PsiField(x=0.0, hm=None), 0.5)"
     assert _loaded_after(code) == []
