@@ -2,7 +2,7 @@
 high-precision Fredholm determinants.
 
 The pieces, bottom up: double-double arithmetic on (hi, lo) pairs,
-Gauss-Legendre rules and an extended-precision LU (`mpnum`); Airy functions
+Gauss-Legendre rules and an extended-precision LDL^T (`mpnum`); Airy functions
 and the expansion constants as exact rationals (`specfun`); the
 Hastings-McLeod solution and its tail integral (`painleve2`); the
 transported linear-system columns (`psi`); the kernels (`kernels`);
@@ -41,8 +41,8 @@ from .kernels import (
 from .mpnum import (
     LogDetResult,
     NewtonConvergenceError,
+    NotPositiveDefiniteError,
     QuadratureRule,
-    SingularMatrixError,
     gauss_legendre,
     log_det_lu,
 )
@@ -79,11 +79,11 @@ __all__ = [
     "LogDetResult",
     "NewtonConvergenceError",
     "NewtonDivergenceError",
+    "NotPositiveDefiniteError",
     "PII",
     "PsiField",
     "QuadratureRule",
     "Sine",
-    "SingularMatrixError",
     "WrongBranchError",
     "airy_ai",
     "airy_ai_prime",

@@ -52,14 +52,14 @@ def _leading(s: float, x: float) -> float:
     return -(2.0 / 3.0) * s ** 6 - x * s ** 4 - 0.5 * (s * x) ** 2 - 0.75 * math.log(s)
 
 
-def _check_s(s: float):
-    if not s > 0.0:
-        raise ValueError(f"s = {s} must be positive")
+def _check(s: float, x: float):
+    if not (0.0 < s < math.inf and math.isfinite(x)):
+        raise ValueError(f"s = {s} must be finite and positive, x = {x} finite")
 
 
 def theorem2_prediction(s: float, x: float) -> AsymptoticPrediction:
     """Large-gap expansion for the cubic-phase kernel: A(s, x) + omega0."""
-    _check_s(s)
+    _check(s, x)
     lead = _leading(s, x)
     return AsymptoticPrediction(
         value=lead + _OMEGA0,
@@ -78,7 +78,7 @@ def theorem1_prediction(s: float, x: float,
     what separates this prediction from theorem2_prediction, and it decays
     to zero as x grows (the two kernels merge).
     """
-    _check_s(s)
+    _check(s, x)
     lead = _leading(s, x)
     tw = tw_integral(sol, x)
     return AsymptoticPrediction(
@@ -92,8 +92,8 @@ def theorem1_prediction(s: float, x: float,
 
 def dyson_sine_prediction(s: float, x: float) -> AsymptoticPrediction:
     """Sine-kernel large-gap expansion, a function of the product sx."""
-    if not s * x > 0.0:
-        raise ValueError(f"s*x = {s * x} must be positive")
+    if not 0.0 < s * x < math.inf:
+        raise ValueError(f"s*x = {s * x} must be finite and positive")
     lead = -0.5 * (x * s) ** 2 - 0.25 * math.log(s * x)
     return AsymptoticPrediction(
         value=lead + _DYSON,
@@ -106,13 +106,13 @@ def dyson_sine_prediction(s: float, x: float) -> AsymptoticPrediction:
 
 def logsasy_prediction(s: float, x: float) -> float:
     """Expansion of d/ds log det for the cubic-phase family."""
-    _check_s(s)
+    _check(s, x)
     return -4.0 * s ** 5 - 4.0 * x * s ** 3 - x * x * s - 0.75 / s
 
 
 def logxasy_prediction(s: float, x: float, v: float) -> float:
     """Expansion of d/dx log det; v is the conserved quantity at this x."""
-    _check_s(s)
+    _check(s, x)
     return -s ** 4 - s * s * x - v - 1.0 / (8.0 * s * s)
 
 

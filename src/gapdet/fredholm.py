@@ -7,9 +7,11 @@ sqrt(w_i w_j) K(x_i, x_j).  The matrix is assembled in binary64 (the kernel
 itself is only good to ~1e-9 anyway) and eliminated in double-double.  That
 buys no accuracy: even at log det ~ -62 the smallest pivot is moderate (0.56
 for PII at x = 1, s = 2, n = 256), so the binary64 assembly sets the error.
-The double-double LU stays until a binary64 factorization, trusted by the
-conditioning of I - K, replaces it; log det leaves it as the binary64 sum
-of its two words, and the ladder's gap is a binary64 difference.
+A correlation kernel has 0 <= K < I, so a resolved M is positive definite,
+and a rung whose M is not is refused as under-resolved.  The double-double
+LDL^T stays until a binary64 factorization, trusted by the conditioning of
+I - K, replaces it; log det leaves it as the binary64 sum of its two
+words, and the ladder's gap is a binary64 difference.
 
 The slopes need no determinant, only one binary64 solve with the same M
 per rung (Tracy and Widom 1994; Bornemann 2010):
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import psi
 from .kernels import CubicSine, KernelSpec, PII, Sine, kernel_dx_matrix, kernel_matrix
-from .mpnum import gauss_legendre, log_det_lu
+from .mpnum import NotPositiveDefiniteError, gauss_legendre, log_det_lu
 
 __all__ = [
     "DetEvaluation",
@@ -49,7 +51,8 @@ _LADDER_TOL = 1e-8
 
 
 class DetIntegrityError(RuntimeError):
-    """det(I - K) left (0, 1]; the discretization or kernel is at fault."""
+    """I - K is not positive definite, or det(I - K) left (0, 1]; the
+    discretization or kernel is at fault."""
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,8 @@ def _s_cap(spec: KernelSpec) -> float:
     the plain sine kernel, whose log det decays slowly (~ -(xs)^2/2), and
     2.4 for the cubic-phase and rank-structured kernels.  It is not set by a
     precision floor of the elimination: at s = 2.4, n = 256 the smallest
-    pivot of I - K is 2.7e-4 for PII(x=1), 1.0e-2 for PII(x=-1) and 1.2e-4
-    for CubicSine(1, 1), at log det -163, -98 and -165.
+    LDL^T pivot of I - K is 0.21 for PII(x=1), 0.36 for PII(x=-1) and 0.21
+    for CubicSine(1, 1), at log det -165, -98 and -165.
     """
     if isinstance(spec, Sine) or (isinstance(spec, CubicSine) and spec.t == 0.0):
         return 8.0
@@ -103,12 +106,14 @@ def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
         return DetEvaluation(spec, s, n, 0.0, 1.0, True)
 
     # only M is kept: K is freed before the elimination
-    res = log_det_lu(_nystrom(spec, s, n)[0])
+    try:
+        res = log_det_lu(_nystrom(spec, s, n)[0])
+    except NotPositiveDefiniteError as e:
+        raise DetIntegrityError(f"I - K not positive definite at s = {s}, n = {n}: {e}") from None
     value = res.log_abs_det[0] + res.log_abs_det[1]
-    if res.sign != 1 or not value <= 0.0:
+    if not value <= 0.0:
         raise DetIntegrityError(
-            f"det(I - K) outside (0, 1]: sign {res.sign}, "
-            f"log|det| {value:.6g} at s = {s}, n = {n}"
+            f"det(I - K) outside (0, 1]: log det {value:.6g} at s = {s}, n = {n}"
         )
     return DetEvaluation(spec, s, n, value, res.pivot_min, False)
 

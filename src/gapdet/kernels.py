@@ -113,7 +113,7 @@ _TWO_PI = 2.0 * math.pi
 def _real(vals: np.ndarray, where: str) -> np.ndarray:
     """Real part of column-based kernel values, after the integrity check."""
     worst = float(np.max(np.abs(vals.imag), initial=0.0))
-    if worst > _IMAG_TOL:
+    if not worst <= _IMAG_TOL:
         raise KernelIntegrityError(
             f"kernel {where} has imaginary part {worst:.3e} (limit {_IMAG_TOL})"
         )

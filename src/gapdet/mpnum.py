@@ -1,20 +1,22 @@
 """Double-double arithmetic, Gauss-Legendre rules, and an extended-precision
-log-determinant.
+log-determinant of a symmetric positive definite matrix.
 
 Double-double is what makes the Gauss-Legendre weights right: at n = 128,
 s = 2, binary64 Newton weights move log det by 5.8e-10, library rules by 4e-8
-to 1e-7.  The LU carries it only until a binary64 factorization replaces it:
-on binary64-assembled matrices it buys nothing (off a 40-digit reference by
-4.7e-10 at CubicSine(1, 1), s = 2, n = 96, where slogdet is off by 6.1e-10).
+to 1e-7.  The LDL^T elimination carries it only until a binary64
+factorization replaces it: on binary64-assembled matrices it buys nothing
+(off a 40-digit reference by 4.7e-10 at CubicSine(1, 1), s = 2, n = 96,
+where slogdet is off by 6.1e-10).  Its one input, I - W^1/2 K W^1/2 with
+0 <= K < I, is positive definite when resolved, so it does not pivot.
 The arithmetic is built on the classical error-free transformations
 (two_sum, two_prod with Dekker splitting), giving a pair (hi, lo) worth
 roughly 31 digits (the QD library's form: Hida, Li and Bailey, ARITH-15,
 2001), and the only one here: two floats or two arrays in and out.  The
 same code runs on scalars and numpy arrays; the hot paths use arrays: the
 rule's one double-double pass of the Legendre recurrence over all its
-binary64 roots at once, and the LU's multipliers and rank-1 update.  A
-rule takes its nodes and weights from that one pass (a Halley step for
-the node, a Taylor-corrected P_n' for the weight), so the four ladder
+binary64 roots at once, and the elimination's multipliers and rank-1
+update.  A rule takes its nodes and weights from that one pass (a Halley
+step for the node, a Taylor-corrected P_n' for the weight), so the four ladder
 orders 32-256 build in about 45 ms together on a 2-core host, against
 about 0.22 s with three passes.  The pivot's reciprocal, once per pivot,
 runs on Python floats.  The product of the pivots and its log are the
@@ -39,7 +41,7 @@ __all__ = [
     "QuadratureRule",
     "LogDetResult",
     "NewtonConvergenceError",
-    "SingularMatrixError",
+    "NotPositiveDefiniteError",
     "gauss_legendre",
     "log_det_lu",
     "two_sum",
@@ -73,15 +75,15 @@ class NewtonConvergenceError(RuntimeError):
         )
 
 
-class SingularMatrixError(ArithmeticError):
-    """Raised by log_det_lu on an exactly zero pivot.
+class NotPositiveDefiniteError(ArithmeticError):
+    """Raised by log_det_lu at the first pivot that is not positive.
 
-    ``step`` is the elimination step at which the pivot vanished.
+    ``step`` is the elimination step of that pivot.
     """
 
     def __init__(self, step: int):
         self.step = step
-        super().__init__(f"exactly zero pivot at elimination step {step}")
+        super().__init__(f"pivot not positive at elimination step {step}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,8 @@ class QuadratureRule:
     ``nodes`` and ``weights`` are read-only (hi, lo) ndarray pairs.  The
     nodes are strictly increasing; the node/weight sets are exactly
     symmetric under x -> -x because only the non-negative half is computed
-    and the rest is mirrored.
+    and the rest is mirrored.  ``nodes_f8`` and ``weights_f8`` are the hi
+    words, which are the pairs' binary64 roundings.
     """
 
     order: int
@@ -203,11 +206,11 @@ class QuadratureRule:
 
     @property
     def nodes_f8(self) -> np.ndarray:
-        return _frozen(self.nodes[0] + self.nodes[1])
+        return self.nodes[0]
 
     @property
     def weights_f8(self) -> np.ndarray:
-        return _frozen(self.weights[0] + self.weights[1])
+        return self.weights[0]
 
 
 # Recurrence steps whose a_j x coefficients are formed in one array call, so
@@ -296,20 +299,19 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 
 # ---------------------------------------------------------------------------
-# extended-precision LU log-determinant
+# extended-precision LDL^T log-determinant
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LogDetResult:
-    """Outcome of an extended-precision LU factorization.
+    """Outcome of an extended-precision LDL^T factorization.
 
-    ``log_abs_det`` is the natural log of |det| as a (hi, lo) pair, ``sign``
-    is the sign of the determinant, ``pivot_min`` the smallest absolute
-    pivot seen in binary64 (a cheap conditioning diagnostic).
+    ``log_abs_det`` is the natural log of det as a (hi, lo) pair,
+    ``pivot_min`` the smallest pivot in binary64 (a cheap conditioning
+    diagnostic, never below the smallest eigenvalue).
     """
 
     log_abs_det: tuple
-    sign: int
     pivot_min: float
 
 
@@ -317,7 +319,7 @@ class LogDetResult:
 # hold at most _LU_ROWS rows, whatever n is.
 _LU_ROWS = 64
 
-# The product of the |pivots| and its log: 40 digits, and an exponent range
+# The product of the pivots and its log: 40 digits, and an exponent range
 # no product of binary64 pivots can leave.  Only this context's methods are
 # called, floats included, so a caller's decimal context is neither flagged
 # nor trapped (``Decimal(float)`` would raise under a trapped FloatOperation).
@@ -326,45 +328,38 @@ _DEC = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 
 def log_det_lu(matrix) -> LogDetResult:
-    """log |det| and sign of a square float matrix by LU with partial
-    pivoting in double-double.
+    """log det of a symmetric positive definite float matrix by unpivoted
+    LDL^T elimination in double-double.
 
-    The entries are binary64; every update is carried as a (hi, lo) pair.
-    Pivots are ranked by their hi component, which equals value order for
-    normalized pairs.  Each step forms one scalar dd reciprocal of the
-    pivot's binary64 mantissa on Python floats and its multipliers from one
-    vector dd_mul, so no multiplier overflows a Dekker split.  The product
-    of the |pivots| is carried in 40-digit decimal, and log |det| is one
-    correctly rounded decimal ln of it, split into a (hi, lo) pair.
+    The entries are binary64 and must be exactly symmetric; every update is
+    a (hi, lo) pair in the lower trapezoid of a row slice, with the pivot
+    row read from the pivot column.  A pivot whose hi word is not positive
+    raises NotPositiveDefiniteError.  Each step forms one scalar dd
+    reciprocal of the pivot's binary64 mantissa on Python floats and its
+    multipliers from one vector dd_mul, so no multiplier overflows a Dekker
+    split.  The product of the pivots is carried in 40-digit decimal, and
+    log det is one correctly rounded decimal ln of it, split into a (hi, lo)
+    pair.
     """
     ah = np.array(matrix, dtype=float)
     if ah.ndim != 2 or ah.shape[0] != ah.shape[1] or ah.shape[0] == 0:
         raise ValueError("matrix must be square and non-empty")
     if not np.all(np.isfinite(ah)):
         raise ValueError("matrix entries must be finite")
+    if not np.array_equal(ah, ah.T):
+        raise ValueError("matrix must be symmetric")
     al = np.zeros(ah.shape)
     n = ah.shape[0]
 
-    sign = 1
-    prod = decimal.Decimal(1)   # product of the |pivots|
-    piv = (math.inf, 0.0)       # first smallest |pivot| as (hi, lo)
+    prod = decimal.Decimal(1)   # product of the pivots
+    piv = (math.inf, 0.0)       # first smallest pivot as (hi, lo)
 
     for k in range(n):
-        p = k + int(np.argmax(np.abs(ah[k:, k])))
-        if ah[p, k] == 0.0 and al[p, k] == 0.0:
-            raise SingularMatrixError(k)
-        if p != k:
-            ah[k, k:], ah[p, k:] = ah[p, k:].copy(), ah[k, k:].copy()
-            al[k, k:], al[p, k:] = al[p, k:].copy(), al[k, k:].copy()
-            sign = -sign
-
-        # |pivot| flips both words by the sign of hi
         ph, pl = float(ah[k, k]), float(al[k, k])
         if not (math.isfinite(ph) and math.isfinite(pl)):
             raise ValueError("the elimination overflowed binary64")
-        neg = ph < 0.0
-        if neg:
-            sign, ph, pl = -sign, -ph, -pl
+        if not ph > 0.0:
+            raise NotPositiveDefiniteError(k)
         piv = min(piv, (ph, pl))
         prod = _DEC.multiply(prod, _DEC.add(_DEC.create_decimal_from_float(ph),
                                             _DEC.create_decimal_from_float(pl)))
@@ -373,18 +368,16 @@ def log_det_lu(matrix) -> LogDetResult:
             # -1 / pivot = r 2^-x; the column, scaled by 2^-x, is at most 1
             fh, x = math.frexp(ph)
             fl = math.ldexp(pl, -x)
-            rh, rl = dd_div(1.0 if neg else -1.0, 0.0, fh, fl)
-            mh, ml = dd_mul(np.ldexp(ah[k + 1:, k], -x), np.ldexp(al[k + 1:, k], -x), rh, rl)
-            uh, ul = ah[k, k + 1:], al[k, k + 1:]
-            for i in range(k + 1, n, _LU_ROWS):
-                rows = slice(i, i + _LU_ROWS)
-                mrows = slice(i - k - 1, i - k - 1 + _LU_ROWS)
-                th, tl = dd_mul(mh[mrows, None], ml[mrows, None], uh[None, :], ul[None, :])
-                ah[rows, k + 1:], al[rows, k + 1:] = dd_add(
-                    ah[rows, k + 1:], al[rows, k + 1:], th, tl
-                )
+            rh, rl = dd_div(-1.0, 0.0, fh, fl)
+            uh, ul = ah[k + 1:, k], al[k + 1:, k]
+            mh, ml = dd_mul(np.ldexp(uh, -x), np.ldexp(ul, -x), rh, rl)
+            bh, bl = ah[k + 1:, k + 1:], al[k + 1:, k + 1:]  # views of the trailing block
+            for i in range(0, n - k - 1, _LU_ROWS):
+                e = i + _LU_ROWS  # rows i..e of the block, columns up to e
+                th, tl = dd_mul(mh[i:e, None], ml[i:e, None], uh[None, :e], ul[None, :e])
+                bh[i:e, :e], bl[i:e, :e] = dd_add(bh[i:e, :e], bl[i:e, :e], th, tl)
 
     log_abs = _DEC.ln(prod)
     hi = float(log_abs)
     lo = float(_DEC.subtract(log_abs, _DEC.create_decimal_from_float(hi)))
-    return LogDetResult((hi, lo), sign, piv[0] + piv[1])
+    return LogDetResult((hi, lo), piv[0] + piv[1])

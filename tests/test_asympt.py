@@ -99,15 +99,17 @@ def test_domain_validation(hm):
 
 
 @pytest.mark.parametrize("predict", [
-    lambda s: theorem2_prediction(s, 1.0),
-    lambda s: dyson_sine_prediction(s, 1.0),
-    lambda s: logsasy_prediction(s, 1.0),
-    lambda s: logxasy_prediction(s, 1.0, 0.0),
+    theorem2_prediction,
+    dyson_sine_prediction,
+    logsasy_prediction,
+    lambda s, x: logxasy_prediction(s, x, 0.0),
 ], ids=["theorem2", "dyson_sine", "logsasy", "logxasy"])
 def test_nan_s_is_refused(predict):
-    # a NaN fails every comparison, so it must not slip through as "not <= 0"
-    with pytest.raises(ValueError):
-        predict(float("nan"))
+    # a NaN fails every comparison, so it must not slip through as "not <= 0";
+    # an infinite s and a NaN x would come back as a NaN or infinite value
+    for s, x in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            predict(s, x)
 
 
 # --- exponent fit -------------------------------------------------------------

@@ -100,6 +100,12 @@ def test_verify_fcet_defaults_pass(capsys):
     assert run(capsys, ["verify", "--formula", "fcet", "--x", "1.0"])[0] == EXIT_VERIFY_FAIL
 
 
+def test_indefinite_rung_is_an_integrity_fault(capsys):
+    code = main(["det", "--kernel", "csin", "--x", "1", "--s", "2.4", "--n", "32"])
+    assert code == EXIT_INTEGRITY
+    assert "not positive definite" in capsys.readouterr().err
+
+
 def test_usage_errors(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["det", "--kernel", "hexagon", "--s", "1.0"]) == EXIT_USAGE

@@ -251,6 +251,20 @@ def test_trust_band_edge_still_converges_for_trig():
     assert ev.converged and ev.n <= 400
 
 
+def test_indefinite_rungs_are_refused(hm):
+    # At s = 2.4 the n = 32 rungs are under-resolved and their M has a
+    # negative eigenvalue (-9.8e-7, -6.7e-8 and -9.8e-7): the elimination
+    # stops at it, and the ladder skips the rung like any other that fails
+    specs = (CubicSine(t=1.0, x=1.0), PII(x=0.0, field=PsiField(x=0.0, hm=hm)),
+             PII(x=1.0, field=PsiField(x=1.0, hm=hm)))
+    for spec in specs:
+        with pytest.raises(DetIntegrityError, match="not positive definite"):
+            log_det(spec, 2.4, 32)
+    ev = log_det_converged(specs[0], 2.4)
+    assert ev.n == 256 and not ev.converged
+    assert ev.log_det == log_det(specs[0], 2.4, 256).log_det
+
+
 def test_beyond_the_trust_band_fails_loudly_or_flags():
     # At s = 2.3 the true determinant is ~1e-57, far below what binary64
     # assembly can represent; the evaluation must not return a confident
@@ -488,7 +502,7 @@ def test_argument_validation(hm):
 def test_nan_log_det_fails_the_integrity_check(monkeypatch):
     nan = float("nan")
     monkeypatch.setattr(
-        gapdet.fredholm, "log_det_lu", lambda m: LogDetResult((nan, 0.0), 1, 1.0)
+        gapdet.fredholm, "log_det_lu", lambda m: LogDetResult((nan, 0.0), 1.0)
     )
     with pytest.raises(DetIntegrityError):
         log_det(Sine(x=1.0), 1.0, 32)

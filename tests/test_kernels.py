@@ -198,16 +198,18 @@ def test_parameter_validation(hm):
 def test_poisoned_cache_is_caught(hm):
     f = PsiField(x=1.0, hm=hm)
     good = psi_column(f, 0.5)
-    f.cache[0.5] = good * np.array([np.exp(0.3j), 1.0])
     spec = PII(x=1.0, field=f)
-    with pytest.raises(KernelIntegrityError):
-        kernel_eval(spec, 0.5, 1.0)
-    with pytest.raises(KernelIntegrityError):
-        kernel_matrix(spec, np.array([0.5, 1.0, 1.5]))
-    # the poisoned column as the midpoint of a near-diagonal pair, whose
-    # neighbours are clean
-    with pytest.raises(KernelIntegrityError, match="diagonal"):
-        kernel_matrix(spec, np.array([0.5 - 2e-7, 0.5 + 2e-7]))
+    # a rotated column, and a NaN one, which fails every comparison
+    for poison in (np.exp(0.3j), np.nan):
+        f.cache[0.5] = good * np.array([poison, 1.0])
+        with pytest.raises(KernelIntegrityError):
+            kernel_eval(spec, 0.5, 1.0)
+        with pytest.raises(KernelIntegrityError):
+            kernel_matrix(spec, np.array([0.5, 1.0, 1.5]))
+        # the poisoned column as the midpoint of a near-diagonal pair, whose
+        # neighbours are clean
+        with pytest.raises(KernelIntegrityError, match="diagonal"):
+            kernel_matrix(spec, np.array([0.5 - 2e-7, 0.5 + 2e-7]))
 
 
 def test_x_derivative_matches_a_difference_in_x(hm):

@@ -1,4 +1,4 @@
-"""Double-double arithmetic, quadrature rules, and the pivoted LU determinant."""
+"""Double-double arithmetic, quadrature rules, and the LDL^T determinant."""
 
 import decimal
 import math
@@ -13,7 +13,7 @@ from gapdet import PsiField
 from gapdet.kernels import PII, CubicSine, kernel_matrix
 from gapdet.mpnum import (
     NewtonConvergenceError,
-    SingularMatrixError,
+    NotPositiveDefiniteError,
     dd_add,
     dd_mul,
     dd_sub,
@@ -188,21 +188,30 @@ def test_rule_is_deterministic():
         gauss_legendre(True)
 
 
-# --- LU determinants --------------------------------------------------------
+# --- LDL^T determinants -----------------------------------------------------
 
 
 def _exact_logdet_oracle(a: np.ndarray) -> mpmath.mpf:
-    """log |det| of the binary64 matrix by exact rational elimination."""
+    """log |det| of the binary64 matrix, exactly: the entries scaled to
+    integers by one power of two 2^e, then Bareiss's fraction-free
+    elimination, whose every division is exact."""
     n = a.shape[0]
-    m = [[Fraction(float(a[i, j])) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for k in range(n):
-        det *= m[k][k]
+    e = min(math.frexp(v)[1] for v in a.ravel().tolist() if v != 0.0) - 53
+    m = [[int(Fraction(v) / Fraction(2) ** e) for v in row] for row in a.tolist()]
+    prev = 1
+    for k in range(n - 1):
         for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return mpmath.log(abs(mpmath.mpf(det.numerator) / det.denominator))
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return mpmath.log(abs(mpmath.mpf(m[n - 1][n - 1]))) + n * e * mpmath.log(2)
+
+
+def _spd(seed: int, n: int, c: float) -> np.ndarray:
+    """B B^T + c I for a standard normal B, exactly symmetric."""
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    a = b @ b.T
+    return 0.5 * (a + a.T) + c * np.eye(n)
 
 
 def test_log_det_matches_exact_hilbert_determinant():
@@ -211,46 +220,40 @@ def test_log_det_matches_exact_hilbert_determinant():
     h = np.array([[1.0 / (i + j + 1) for j in range(6)] for i in range(6)])
     res = log_det_lu(h)
     want = _exact_logdet_oracle(h)
-    assert res.sign == 1
     assert abs(_mp(res.log_abs_det) - want) < 1e-24
     assert 0.0 < float(res.pivot_min) < 1.0
 
 
-def test_log_det_identity_and_swap():
+def test_log_det_of_the_identity():
     res = log_det_lu(np.eye(5))
     assert sum(res.log_abs_det) == 0.0
-    assert res.sign == 1
     assert float(res.pivot_min) == 1.0
-
-    res = log_det_lu(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert res.sign == -1
-    assert sum(res.log_abs_det) == 0.0
 
 
 def test_log_det_similarity_invariance():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((12, 12)) + 12.0 * np.eye(12)
-    p = np.eye(12)[rng.permutation(12)]
+    a = _spd(5, 12, 1.0)
+    p = np.random.default_rng(5).permutation(12)
     r1 = log_det_lu(a)
-    r2 = log_det_lu(p @ a @ p.T)
+    r2 = log_det_lu(a[p][:, p])
     assert abs(sum(dd_sub(*r1.log_abs_det, *r2.log_abs_det))) < 1e-26
-    assert r1.sign == r2.sign
 
 
 def test_log_det_agrees_with_slogdet_in_double():
-    rng = np.random.default_rng(19)
-    a = rng.standard_normal((20, 20))
+    a = _spd(19, 20, 1.0)
     sign, logdet = np.linalg.slogdet(a)
     res = log_det_lu(a)
-    assert res.sign == int(sign)
+    assert sign == 1.0
     assert abs(sum(res.log_abs_det) - logdet) < 1e-11
 
 
 def test_log_det_rejects_bad_input():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(NotPositiveDefiniteError) as e:
         log_det_lu(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert e.value.step == 1
     with pytest.raises(ValueError):
         log_det_lu(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="symmetric"):
+        log_det_lu(np.array([[2.0, 1.0], [1.0 + 2.0 ** -52, 2.0]]))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             log_det_lu(np.array([[1.0, 0.0], [bad, 1.0]]))
@@ -275,56 +278,42 @@ def test_log_det_of_a_product_far_outside_binary64():
         for pivot in (1e-300, 1e300):
             res = log_det_lu(np.diag(np.full(300, pivot)))
             want = 300 * mpmath.log(pivot)
-            assert res.sign == 1
             assert abs(_mp(res.log_abs_det) - want) <= 1e-30 * abs(want)
         assert decimal.getcontext().prec == 9
         assert not any(ctx.flags.values())
 
 
-def test_log_det_with_swaps_and_negative_pivots_against_exact():
-    a = np.random.default_rng(23).standard_normal((10, 10))
+def test_log_det_of_an_spd_matrix_against_exact():
+    a = _spd(23, 10, 0.1)
     res = log_det_lu(a)
     assert abs(_mp(res.log_abs_det) - _exact_logdet_oracle(a)) < 1e-24
-    assert res.sign == int(np.linalg.slogdet(a)[0])
 
 
 def test_log_det_matches_the_per_pivot_log_sum():
-    # upper triangular: the pivots are the diagonal, in order
-    rng = np.random.default_rng(29)
-    d = rng.uniform(0.1, 3.0, 16) * rng.choice([-1.0, 1.0], 16)
-    a = np.triu(rng.standard_normal((16, 16)), 1) + np.diag(d)
-    want = mpmath.fsum(mpmath.log(abs(mpmath.mpf(float(v)))) for v in d)
-    res = log_det_lu(a)
+    # diagonal: the pivots are the diagonal, in order
+    d = np.random.default_rng(29).uniform(0.1, 3.0, 16)
+    want = mpmath.fsum(mpmath.log(mpmath.mpf(float(v))) for v in d)
+    res = log_det_lu(np.diag(d))
     assert abs(_mp(res.log_abs_det) - want) < 1e-28
-    assert res.sign == int(np.prod(np.sign(d)))
-    assert res.pivot_min == float(np.min(np.abs(d)))
+    assert res.pivot_min == float(np.min(d))
 
 
 def test_log_det_on_the_nystrom_matrices_that_matter(hm):
-    # n = 32 rungs at the edge of the kernels' trust band.  A double-double
-    # elimination is good to about cond(M) dd units: over these, their
-    # n = 64 rungs and PII(1) at s = 2.4 the error is 0.03-0.5 of
-    # cond(M) 2^-106, so that is the bound: 6.3e-26 at PII(1), s = 2
-    # (cond 5.1e6) and 4.3e-23 at CubicSine(1, 1), s = 2.4 (cond 3.5e9).
-    for spec, s in ((CubicSine(t=1.0, x=1.0), 2.4),
-                    (PII(x=1.0, field=PsiField(x=1.0, hm=hm)), 2.0)):
-        rule = gauss_legendre(32)
+    # Ladder rungs at the edge of the kernels' trust band.  A double-double
+    # elimination is good to about cond(M) dd units: over these and the
+    # n = 64 rungs of PII(1) at s = 2 and 2.4 and of CubicSine(1, 1) at s = 2
+    # the error is 0.01-0.7 of cond(M) 2^-106, so that is the bound: 6.3e-26
+    # at PII(1), s = 2, n = 32 (cond 5.1e6) and 4.8e-21 at CubicSine(1, 1),
+    # s = 2.4, n = 64 (cond 3.9e11).  The n = 32 rung at s = 2.4 is not
+    # positive definite.
+    for spec, s, n in ((CubicSine(t=1.0, x=1.0), 2.4, 64),
+                       (PII(x=1.0, field=PsiField(x=1.0, hm=hm)), 2.0, 32)):
+        rule = gauss_legendre(n)
         sq = np.sqrt(s * rule.weights_f8)
-        m = np.eye(32) - (sq[:, None] * sq[None, :]) * kernel_matrix(spec, s * rule.nodes_f8)
+        m = np.eye(n) - (sq[:, None] * sq[None, :]) * kernel_matrix(spec, s * rule.nodes_f8)
         res = log_det_lu(m)
-        assert res.sign == 1
         err = abs(_mp(res.log_abs_det) - _exact_logdet_oracle(m))
         assert err <= np.linalg.cond(m) * 2.0 ** -106
-
-
-def test_log_det_sign_of_diagonal_matrices():
-    res = log_det_lu(np.diag([2.0, -3.0, 0.5]))
-    assert res.sign == -1
-    assert abs(_mp(res.log_abs_det) - mpmath.log(3)) < 1e-28
-    assert float(res.pivot_min) == 0.5
-    res = log_det_lu(np.diag([-2.0, 3.0, -0.5]))
-    assert res.sign == 1
-    assert abs(_mp(res.log_abs_det) - mpmath.log(3)) < 1e-28
 
 
 def test_newton_error_type_exists():
