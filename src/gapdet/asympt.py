@@ -126,6 +126,8 @@ def fcet_fit(samples) -> tuple:
     much to mean anything.
     """
     pts = [(float(s), float(ld)) for s, ld in samples]
+    if not all(math.isfinite(s) and math.isfinite(ld) for s, ld in pts):
+        raise ValueError("every s and log_det must be finite")
     svals = sorted({s for s, _ in pts})
     if len(pts) < 4 or len(svals) < 4:
         raise ValueError(f"need at least 4 samples at distinct s, got {len(svals)}")

@@ -14,7 +14,9 @@ I - K, replaces it; log det leaves it as the binary64 sum of its two
 words, and the ladder's gap is a binary64 difference.
 
 The slopes need no determinant, only one binary64 solve with the same M
-per rung (Tracy and Widom 1994; Bornemann 2010):
+per rung, refused as the determinant's rung is when a binary64 Cholesky
+factorization finds M not positive definite (Tracy and Widom 1994;
+Bornemann 2010):
 
     d/ds log det = -(R(s, s) + R(-s, -s)),   R = K (I - K)^-1 the resolvent,
     d/dx log det = -tr((I - K)^-1 dK/dx).
@@ -174,14 +176,19 @@ def _slope_agree(val: float, prev: float) -> bool:
 
 
 def _solve(m: np.ndarray, rhs: np.ndarray, s: float, n: int) -> np.ndarray:
-    """M^-1 rhs in binary64, or DetIntegrityError when I - K is singular or
-    the solution is not finite."""
+    """M^-1 rhs in binary64, or DetIntegrityError when I - K is singular,
+    the solution is not finite, or I - K is not positive definite (its
+    binary64 Cholesky factorization fails), the rung ``log_det`` refuses."""
     try:
         sol = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as e:
         raise DetIntegrityError(f"I - K not solvable at s = {s}, n = {n}: {e}") from None
     if not np.isfinite(sol).all():
         raise DetIntegrityError(f"I - K solve not finite at s = {s}, n = {n}")
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise DetIntegrityError(f"I - K not positive definite at s = {s}, n = {n}") from None
     return sol
 
 

@@ -22,14 +22,12 @@ numerically:
   accurate to ~1e-12, far inside the 1e-9 continuity budget.  The
   column-based kernel marches all such midpoints in one batch.
 
-* The column-based kernel is assembled from exactly antisymmetric
-  numerator and denominator arrays, so the value matrix is exactly
-  symmetric.  Its imaginary part is rounding: the transport keeps
-  conj(psi21) = i psi11 to one rounding, and off the diagonal it measures
-  at most 4.7e-14 for x in {-1, 0, 1}, s in {1.0, 1.8, 2.4}, n = 128.
-  Anything above 1e-7, off or on the diagonal, raises
-  KernelIntegrityError, flagging a transport fault rather than being
-  silently dropped.
+* The column-based kernel is real by construction: for real lambda the
+  Lax pair gives psi21 = -i conj(psi11), so K is computed in real
+  arithmetic from Re psi11 and Im psi11, with exactly antisymmetric
+  numerator and denominator arrays, and the matrix is exactly symmetric.
+  A value that is not finite (a NaN column, say) raises
+  KernelIntegrityError rather than reaching the elimination.
 """
 
 from __future__ import annotations
@@ -55,11 +53,10 @@ __all__ = [
 ]
 
 _TAYLOR_RADIUS = 1e-6
-_IMAG_TOL = 1e-7
 
 
 class KernelIntegrityError(RuntimeError):
-    """The column-based kernel came out measurably complex."""
+    """The column-based kernel has a value that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ class CubicSine:
 
 @dataclass(frozen=True)
 class PII:
-    """(psi21(lambda) psi11(mu) - psi21(mu) psi11(lambda)) / (2 pi (lambda - mu))."""
+    """Im(conj psi11(lambda) psi11(mu)) / (pi (lambda - mu))."""
 
     x: float
     field: PsiField
@@ -107,25 +104,21 @@ class PII:
 
 KernelSpec = Union[Sine, CubicSine, PII]
 
-_TWO_PI = 2.0 * math.pi
 
-
-def _real(vals: np.ndarray, where: str) -> np.ndarray:
-    """Real part of column-based kernel values, after the integrity check."""
-    worst = float(np.max(np.abs(vals.imag), initial=0.0))
-    if not worst <= _IMAG_TOL:
-        raise KernelIntegrityError(
-            f"kernel {where} has imaginary part {worst:.3e} (limit {_IMAG_TOL})"
-        )
-    return vals.real
+def _finite(vals: np.ndarray, where: str) -> np.ndarray:
+    """Column-based kernel values, after the integrity check."""
+    if not np.isfinite(vals).all():
+        raise KernelIntegrityError(f"kernel {where} is not finite")
+    return vals
 
 
 def _columns_and_diagonal(field: PsiField, lams: np.ndarray):
-    """psi11, psi21 at lams, and K(lambda, lambda) there from the lambda-equation."""
+    """psi11 at lams, and K(lambda, lambda) = -Im(conj psi11 psi11') / pi
+    there, psi11' from the lambda-equation."""
     cols = psi_columns(field, lams)
-    a, b = cols[:, 0], cols[:, 1]
-    d1, d2 = _lambda_derivative(field, lams, a, b)
-    return a, b, (d2 * a - d1 * b) / _TWO_PI
+    a = cols[:, 0]
+    da = _lambda_derivative(field, lams, a, cols[:, 1])[0]
+    return a, (a.imag * da.real - a.real * da.imag) / math.pi
 
 
 def kernel_eval(spec: KernelSpec, lam: float, mu: float) -> float:
@@ -151,20 +144,21 @@ def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if isinstance(spec, PII):
         n = len(pts)
+        a, diag = _columns_and_diagonal(spec.field, pts)
         d = pts[:, None] - pts[None, :]
         near = np.abs(d) < _TAYLOR_RADIUS
         mid = 0.5 * (pts[:, None] + pts[None, :])
-        a, b, diag = _columns_and_diagonal(spec.field, pts)
-        num = b[:, None] * a[None, :] - b[None, :] * a[:, None]
+        num = a.real[:, None] * a.imag[None, :]
+        num = num - num.T
         with np.errstate(divide="ignore", invalid="ignore"):
-            k = num / (_TWO_PI * d)
-        _real(k[~near], "matrix")
-        out = np.where(near, 0.0, k.real)
+            k = num / (math.pi * d)
+        _finite(k[~near], "matrix")
+        out = np.where(near, 0.0, k)
         stray = near & ~np.eye(n, dtype=bool)
         if stray.any():
             mids, inv = np.unique(mid[stray], return_inverse=True)
-            diag = np.concatenate([diag, _columns_and_diagonal(spec.field, mids)[2][inv]])
-        diag = _real(diag, "diagonal")
+            diag = np.concatenate([diag, _columns_and_diagonal(spec.field, mids)[1][inv]])
+        diag = _finite(diag, "diagonal")
         np.fill_diagonal(out, diag[:n])
         out[stray] = diag[n:]
         return out
@@ -188,18 +182,16 @@ def kernel_dx_matrix(spec: KernelSpec, points) -> np.ndarray:
     For the trig kernels the phase is linear in x with slope lambda - mu,
     so dK/dx = cos(Phi) / pi, and 1/pi on pairs inside the switch radius.
     For the column-based kernel the x-equation of the Lax pair gives
-    dK/dx = i (psi21(lambda) psi11(mu) + psi21(mu) psi11(lambda)) / (2 pi),
-    which has no quotient and no diagonal special case; its columns are
-    the ones ``kernel_matrix`` marched on the same points, read from the
-    cache, and the values pass the same imaginary-part check.
+    dK/dx = Re(conj psi11(lambda) psi11(mu)) / pi, which has no quotient
+    and no diagonal special case; its columns are the ones
+    ``kernel_matrix`` marched on the same points, read from the cache, and
+    the values pass the same finiteness check.
     """
     pts = np.asarray(points, dtype=float)
     if isinstance(spec, PII):
-        cols = psi_columns(spec.field, pts)
-        a, b = cols[:, 0], cols[:, 1]
-        num = b[:, None] * a[None, :]
-        num = num + num.T
-        return _real(1j * num / _TWO_PI, "x-derivative")
+        a = psi_columns(spec.field, pts)[:, 0]
+        dk = (np.outer(a.real, a.real) + np.outer(a.imag, a.imag)) / math.pi
+        return _finite(dk, "x-derivative")
     g, _, near = _trig_phase(spec, pts)
     np.cos(g, out=g)
     g /= math.pi
@@ -215,7 +207,10 @@ def _trig_phase(spec: KernelSpec, pts: np.ndarray) -> tuple:
     """The trig kernels' phase Phi = |lambda - mu| g on points x points, with
     the symmetric g of the module docstring, built in place.  Pairs inside
     the switch radius get |lambda - mu| = 1, so their entry is g alone and
-    the caller overwrites it.  Returns (Phi, |lambda - mu|, near mask)."""
+    the caller overwrites it.  Returns (Phi, |lambda - mu|, near mask);
+    ValueError unless every point is finite."""
+    if not np.isfinite(pts).all():
+        raise ValueError(f"point {pts[~np.isfinite(pts)][0]} must be finite")
     t, x = _trig_params(spec)
     d = pts[:, None] - pts[None, :]
     near = np.abs(d) < _TAYLOR_RADIUS

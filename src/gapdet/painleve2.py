@@ -22,8 +22,10 @@ queries inside [x_left + 1, x_right - 1].  The discrete residual of a
 converged grid cannot drop below about 2 eps |u| / h^2 (one half-ulp of a
 stored value already moves it that much), which is ~4e-10 at the default
 h = 0.002, where no damped step can lower it; the Newton loop therefore
-stops as soon as the residual is below 1e-8 and then takes one more,
-undamped, step.
+stops as soon as the residual is below max(1e-8, 8 eps max|u| / h^2) and
+then takes one more, undamped, step.  The first term sets the stop for
+h above about 6e-4 (9e-4 at x_left = -40), so at the default h; the
+second, four times the floor, lets a smaller h stop above its own floor.
 
 Each Newton step solves its tridiagonal system by one elimination sweep
 and back substitution on Python floats (``_solve_tridiagonal``), in the
@@ -200,10 +202,10 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
     """Solve the positive-branch boundary-value problem on [x_left, x_right].
 
     ``-40 <= x_left <= -8``, ``6 <= x_right <= 40`` and ``1e-4 <= h <=
-    1/100`` are required; h is nudged so the window divides evenly.  From
-    h = 2.5e-4 down the residual floor passes the accepted 1e-8 and Newton
-    ends in NewtonDivergenceError.  ``_u0`` overrides the initial guess and
-    exists for the failure-path tests.
+    1/100`` are required; h is nudged so the window divides evenly.  The
+    Newton loop stops at a residual of max(1e-8, 8 eps max|u| / h^2), so
+    every accepted h stops above its own rounding floor.  ``_u0`` overrides
+    the initial guess and exists for the failure-path tests.
 
     Raises NewtonDivergenceError when the residual grows five iterations in
     a row and WrongBranchError when the iterate leaves u > 0.
@@ -225,6 +227,8 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
     u[0] = np.sqrt(-x_left / 2.0)
     u[-1] = airy_ai(x_right)
 
+    # max|u| of the monotone solution is its pinned left value
+    stop = max(1e-8, 8.0 * np.finfo(float).eps * float(u[0]) / (h * h))
     trace = []
     growth = 0
     prev_rn = np.inf
@@ -233,7 +237,7 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
         F = _interior_residual(u, x, h)
         rn = float(np.max(np.abs(F)))
         trace.append(rn)
-        if rn <= 1e-8:
+        if rn <= stop:
             break  # at or near the rounding floor, see module docstring
         if rn >= prev_rn:
             growth += 1

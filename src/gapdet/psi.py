@@ -25,14 +25,16 @@ to a cap, so at x = 0 about 15% of the 255 steps lie above x = 6.  Every
 step's matrix exp(Omega) is formed in closed form for all lambdas at
 once, and the matrices are multiplied in a tree.  Omega lies in su(1,1),
 so each transfer matrix is [[p, q], [conj q, conj p]] with unit
-determinant, and carrying only (p, q) keeps conj(psi21) = i psi11 to one
-rounding, <= 5e-16 (which is what keeps the downstream kernel real).
+determinant |p|^2 - |q|^2, and the march carries only (p, q).  The
+column it gives is psi11 alone: for real lambda the Lax pair makes
+psi21 = -i conj(psi11), and ``psi_columns`` forms psi21 that way, so the
+pairing, and with it a real kernel, holds by construction.
 The march is not neutrally stable.  Where u^2 > lambda^2, U has the real
 eigenvalues +-sqrt(u^2 - lambda^2), so the transfer matrix grows as the
 march goes left, and so does the rounding of every step it carries.  Each
 step keeps the determinant 1, but the product loses it in proportion:
-over 61 equally spaced lambda in [0, 3], max |psi_det - 1| is 3.2e-14 at
-x = -3, 3.5e-13 at -4, 7.2e-12 at -5, 1.2e-10 at -6 and 1.7e-9 at -7
+over 61 equally spaced lambda in [0, 3], max |psi_det - 1| is 2.8e-14 at
+x = -3, 2.3e-13 at -4, 7.3e-12 at -5, 1.2e-10 at -6 and 3.7e-9 at -7
 (below 1e-14 for x >= -2).  At the default tol the columns agree with
 an eighth-order DOP853 march to a few 1e-13 for x >= -1 and |lambda| <=
 2.4, and the march's own error falls in proportion to tol.
@@ -73,8 +75,9 @@ __all__ = [
 ]
 
 
-# No field lies left of here, on any Hastings-McLeod window: psi_det, which
-# should be 1, reads 1 + 5e-4 at x = -10 and 2.25 at x = -12 (lambda = 0, 0.5).
+# No field lies left of here, on any Hastings-McLeod window: |p| reaches 2e6
+# at x = -10 and 2e8 at x = -12 (lambda = 0), so psi_det, which should be 1,
+# reads 1 + 9.8e-4 at x = -10 and 0 at x = -12.
 _X_MIN = -10.0
 # Every march starts here, from the closed-form far-field seed (module docstring).
 _X_START = 12.5
@@ -86,9 +89,9 @@ class PsiField:
 
     ``hm`` may be None, in which case the potential u is identically zero (a
     hook the tests use, since the system is then diagonal and solvable on
-    paper).  Cache keys are exact binary64 lambdas.  ``tol`` is the column
-    accuracy the march aims at: it sets the step of the Magnus grid, which
-    scales as tol^(1/6).  The grid depends on the field alone and the march
+    paper).  The cache maps exact binary64 lambdas to psi11.  ``tol`` is the
+    column accuracy the march aims at: it sets the step of the Magnus grid,
+    which scales as tol^(1/6).  The grid depends on the field alone and the march
     is elementwise in lambda, so a cached column does not depend, beyond
     about an ulp, on the batch that marched it.  A fresh field given the
     same requests reproduces every value bit for bit, which is why the CLI
@@ -209,7 +212,7 @@ def _step_matrices(h: np.ndarray, w1, w2, w3):
     return cosh + 1j * (a * sinhc), b * sinhc
 
 
-def _march(field_: PsiField, lams: np.ndarray, want_matrix: bool) -> np.ndarray:
+def _march(field_: PsiField, lams: np.ndarray) -> tuple:
     """Carry the far-field seed down to field_.x on the grid of ``_grid``.
 
     The state is the rotation-free column phi = e^{i lambda x sigma3} psi of
@@ -219,13 +222,12 @@ def _march(field_: PsiField, lams: np.ndarray, want_matrix: bool) -> np.ndarray:
     multiplied pairwise in a tree, and the chunk products are multiplied in
     march order.  Every operation is elementwise in lambda.  A transfer
     matrix keeps the form [[p, q], [conj q, conj p]], so only (p, q) is
-    carried, and phi2 = -i conj(phi1) is exact.  The seed does not depend
-    on _X_START.  The rotation is put back at field_.x,
-    psi = e^{-i lambda x sigma3} phi.
+    carried.
 
-    Returns shape (m, 2) column states psi, or (m, 2, 2) frames when
-    ``want_matrix`` (the frame seeds a unit-determinant matrix whose first
-    column is the column seed, for determinant checks).
+    Returns the arrays (p, q) of the transfer matrix from _X_START to
+    field_.x, one entry per lambda.  The seed does not depend on _X_START:
+    phi1 = p conj(c) - i q c with c = e^{i (4/3) lambda^3}, and
+    psi11 = e^{-i lambda x} phi1 (``psi_columns``).
     """
     lams = np.asarray(lams, dtype=float)
     ends = _grid(field_)
@@ -245,18 +247,7 @@ def _march(field_: PsiField, lams: np.ndarray, want_matrix: bool) -> np.ndarray:
             tp, tq = _mul(sp[1:even:2], sq[1:even:2], sp[0:even:2], sq[0:even:2])
             sp, sq = np.concatenate([tp, sp[even:]]), np.concatenate([tq, sq[even:]])
         p, q = _mul(sp[0], sq[0], p, q)
-
-    cubic = np.exp(1j * ((4.0 / 3.0) * lams ** 3))
-    back = np.exp(-1j * (field_.x * lams))
-    phi1 = p * np.conj(cubic) - 1j * (q * cubic)
-    col = np.stack([phi1 * back, -1j * np.conj(phi1) * np.conj(back)], axis=1)
-    if not want_matrix:
-        return col
-    frame = np.empty((len(lams), 2, 2), dtype=complex)
-    frame[:, :, 0] = col
-    frame[:, 0, 1] = q * cubic * back
-    frame[:, 1, 1] = np.conj(p) * cubic * np.conj(back)
-    return frame
+    return p, q
 
 
 def _check_lams(lams) -> np.ndarray:
@@ -272,7 +263,8 @@ def psi_columns(field_: PsiField, lams) -> np.ndarray:
 
     Returns a complex array of shape (m, 2) whose rows are [psi11, psi21];
     an empty request gives shape (0, 2).  ``field_.cache`` maps each exact
-    lambda to the row ``_march`` produced for it.
+    lambda to psi11 alone; psi21 = -i conj(psi11), the Lax pair's pairing
+    for real lambda, is formed from it on every read.
 
     The field's one Magnus grid serves every batch and the work of each
     step is vectorised over lambdas, so much of a march's cost is per
@@ -285,8 +277,13 @@ def psi_columns(field_: PsiField, lams) -> np.ndarray:
     lams = [float(v) for v in _check_lams(lams)]
     missing = list(dict.fromkeys(lam for lam in lams if lam not in field_.cache))
     if missing:
-        field_.cache.update(zip(missing, _march(field_, np.array(missing), want_matrix=False)))
-    return np.array([field_.cache[lam] for lam in lams], dtype=complex).reshape(-1, 2)
+        grid = np.array(missing)
+        p, q = _march(field_, grid)
+        cubic = np.exp(1j * ((4.0 / 3.0) * grid ** 3))
+        psi11 = (p * np.conj(cubic) - 1j * (q * cubic)) * np.exp(-1j * (field_.x * grid))
+        field_.cache.update(zip(missing, psi11.tolist()))
+    psi11 = np.array([field_.cache[lam] for lam in lams], dtype=complex)
+    return np.stack([psi11, -1j * np.conj(psi11)], axis=1)
 
 
 def psi_column(field_: PsiField, lam: float) -> np.ndarray:
@@ -328,15 +325,13 @@ def psi_column_derivative(field_: PsiField, lam):
     return d1, d2
 
 
-def psi_det(field_: PsiField, lam: float) -> complex:
-    """det of the full 2x2 frame transported to field_.x.
-
-    The seed has unit determinant and the x-equation is trace free, so any
-    deviation from 1 measures transport error.
-    """
+def psi_det(field_: PsiField, lam: float) -> float:
+    """|p|^2 - |q|^2, the determinant of the transfer matrix [[p, q],
+    [conj q, conj p]] to field_.x: every step's is 1, so any deviation from
+    1 measures transport error."""
     _check_lams(lam)
-    y = _march(field_, np.array([lam]), want_matrix=True)[0]
-    return complex(y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0])
+    p, q = _march(field_, np.array([lam]))
+    return float(p[0].real ** 2 + p[0].imag ** 2 - (q[0].real ** 2 + q[0].imag ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -139,3 +139,11 @@ def test_fit_input_validation():
         fcet_fit([(1.0, -1.0)] + good[:3])  # s below the asymptotic range
     with pytest.raises(ValueError):
         fcet_fit([(1.5, 0.1), (1.7, -1.0), (1.9, -2.0), (2.1, -3.0)])
+    # a log_det or an s that is not finite is refused before the fit; the
+    # match matters, since LAPACK's LinAlgError on a NaN s is a ValueError too
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fcet_fit(good + [(2.3, bad)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fcet_fit(good + [(bad, -10.0)])

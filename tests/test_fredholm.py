@@ -124,9 +124,9 @@ def test_pii_ladder_marches_each_rung_when_it_reaches_it(hm, monkeypatch):
     marches = []
     march = gapdet.psi._march
 
-    def counting(field_, lams, want_matrix):
+    def counting(field_, lams):
         marches.append(len(lams))
-        return march(field_, lams, want_matrix)
+        return march(field_, lams)
 
     monkeypatch.setattr(gapdet.psi, "_march", counting)
     f = PsiField(x=0.0, hm=hm)
@@ -196,9 +196,8 @@ def test_pii_ladder_against_the_shooting_oracle(hm, shooting_hm, dop853_columns)
         ev = log_det_converged(PII(x=x, field=PsiField(x=x, hm=hm)), s)
         oracle = PsiField(x=x, hm=shooting_hm)
         lams = s * gauss_legendre(256).nodes_f8
-        psi11, psi21 = dop853_columns(oracle, lams)
-        for lam, row in zip(lams, np.stack([psi11, psi21], axis=1)):
-            oracle.cache[float(lam)] = row
+        psi11 = dop853_columns(oracle, lams)[0]
+        oracle.cache.update(zip(lams.tolist(), psi11))
         want = log_det(PII(x=x, field=oracle), s, 256)
         assert len(oracle.cache) == 256
         errors[x, s] = abs(float(ev.log_det) - float(want.log_det))
@@ -221,9 +220,8 @@ def test_pii_ladders_left_of_x_minus_5_against_dop853_columns(hm, dop853_columns
         assert ev.converged
         oracle = PsiField(x=x, hm=hm)
         lams = s * gauss_legendre(ev.n).nodes_f8
-        psi11, psi21 = dop853_columns(oracle, lams)
-        for lam, row in zip(lams, np.stack([psi11, psi21], axis=1)):
-            oracle.cache[float(lam)] = row
+        psi11 = dop853_columns(oracle, lams)[0]
+        oracle.cache.update(zip(lams.tolist(), psi11))
         wants[x, s] = log_det(PII(x=x, field=oracle), s, ev.n).log_det
         assert len(oracle.cache) == ev.n
         errors[x, s] = abs(ev.log_det - wants[x, s])
@@ -263,6 +261,19 @@ def test_indefinite_rungs_are_refused(hm):
     ev = log_det_converged(specs[0], 2.4)
     assert ev.n == 256 and not ev.converged
     assert ev.log_det == log_det(specs[0], 2.4, 256).log_det
+
+
+def test_indefinite_slope_rungs_are_refused(hm):
+    # The slopes' binary64 solve is gated by a Cholesky factorization, so
+    # the rungs the determinant refuses give no slope either; the solve
+    # alone returns d/ds -305.65 and d/dx -26.19 for CubicSine(1, 1) there,
+    # against -376.50 and -38.96 at n = 64
+    specs = (CubicSine(t=1.0, x=1.0), PII(x=0.0, field=PsiField(x=0.0, hm=hm)),
+             PII(x=1.0, field=PsiField(x=1.0, hm=hm)))
+    for spec in specs:
+        for rung in (gapdet.fredholm._ds_rung, gapdet.fredholm._dx_rung):
+            with pytest.raises(DetIntegrityError, match="not positive definite"):
+                rung(spec, 2.4, 32)
 
 
 def test_beyond_the_trust_band_fails_loudly_or_flags():

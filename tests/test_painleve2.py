@@ -106,6 +106,16 @@ def test_step_refinement_is_fourth_order():
     assert 15.0 <= ratio <= 17.0
 
 
+def test_small_steps_stop_at_their_rounding_floor(hm):
+    # The residual floor ~2 eps max|u| / h^2 passes 1e-8 below h ~ 6e-4, so
+    # the Newton loop stops at four times it: the accepted floor h = 1e-4
+    # and h = 4e-4 on the widest window converge, to the default u(0)
+    for x_left, h in ((-10.0, 1e-4), (-40.0, 4e-4)):
+        sol = solve_hm(x_left=x_left, h=h)
+        assert sol.iterations == 5
+        assert abs(sol.u_at(0.0) - hm.u_at(0.0)) <= 1e-12, (x_left, h)
+
+
 def test_accessors_return_python_floats(hm):
     assert type(hm.u_at(1.0)) is float
     assert type(hm.u_x_at(1.0)) is float
