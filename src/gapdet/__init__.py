@@ -40,7 +40,6 @@ from .kernels import (
 )
 from .mpnum import (
     LogDetResult,
-    NewtonConvergenceError,
     NotPositiveDefiniteError,
     QuadratureRule,
     gauss_legendre,
@@ -62,7 +61,7 @@ from .psi import (
     psi_columns,
     psi_det,
 )
-from .specfun import CONSTANTS, Constants, airy_ai, airy_ai_prime, zeta_prime_minus1
+from .specfun import CONSTANTS, Constants, airy_ai, airy_ai_prime
 
 __version__ = "0.1.0"
 
@@ -77,7 +76,6 @@ __all__ = [
     "KernelIntegrityError",
     "KernelSpec",
     "LogDetResult",
-    "NewtonConvergenceError",
     "NewtonDivergenceError",
     "NotPositiveDefiniteError",
     "PII",
@@ -110,5 +108,4 @@ __all__ = [
     "theorem2_prediction",
     "tw_integral",
     "v_at",
-    "zeta_prime_minus1",
 ]

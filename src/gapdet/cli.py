@@ -34,7 +34,7 @@ from .fredholm import (
     log_det_converged,
 )
 from .kernels import CubicSine, KernelIntegrityError, PII, Sine, kernel_matrix
-from .mpnum import NewtonConvergenceError, gauss_legendre
+from .mpnum import gauss_legendre
 from .painleve2 import (
     NewtonDivergenceError,
     WrongBranchError,
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         print(f"gapdet: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (DetIntegrityError, KernelIntegrityError, NewtonDivergenceError,
-            NewtonConvergenceError, WrongBranchError) as e:
+            WrongBranchError) as e:
         print(f"gapdet: integrity: {e}", file=sys.stderr)
         return EXIT_INTEGRITY
     except ValueError as e:

@@ -18,7 +18,10 @@ binary64 roots at once, and the elimination's multipliers and rank-1
 update.  A rule takes its nodes and weights from that one pass (a Halley
 step for the node, a Taylor-corrected P_n' for the weight), so the four ladder
 orders 32-256 build in about 45 ms together on a 2-core host, against
-about 0.22 s with three passes.  The pivot's reciprocal, once per pivot,
+about 0.22 s with three passes.  The binary64 Newton that starts the
+pass settles on every accepted order (``gauss_legendre``), so the
+module's one error of its own is the elimination's
+``NotPositiveDefiniteError``.  The pivot's reciprocal, once per pivot,
 runs on Python floats.  The product of the pivots and its log are the
 standard library's: ``decimal`` at 40 digits, correctly rounded, with an
 exponent range that no product of binary64 pivots leaves.
@@ -40,7 +43,6 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "LogDetResult",
-    "NewtonConvergenceError",
     "NotPositiveDefiniteError",
     "gauss_legendre",
     "log_det_lu",
@@ -58,21 +60,6 @@ __all__ = [
 
 # Dekker splitting constant for binary64: 2**27 + 1.
 _SPLITTER = 134217729.0
-
-
-class NewtonConvergenceError(RuntimeError):
-    """Raised when a Legendre root refinement fails to settle.
-
-    Carries the index of the failing root in ``root_index``.
-    """
-
-    def __init__(self, root_index: int, order: int):
-        self.root_index = root_index
-        self.order = order
-        super().__init__(
-            f"Newton iteration for Legendre root {root_index} of order {order} "
-            f"did not converge within 100 iterations"
-        )
 
 
 class NotPositiveDefiniteError(ArithmeticError):
@@ -224,12 +211,15 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
     The non-negative roots start from the cosine guesses
     cos(pi (k + 3/4) / (n + 1/2)), an odd n's middle one from exactly 0, and
-    converge in binary64 Newton.  One double-double pass of the three-term
-    recurrence at those binary64 roots x0 gives P_{n-1} and P_n, and from
-    them P_n' and, through Legendre's equation, P_n'' and P_n'''.  The node
-    is one Halley step from x0.  Its weight 2 / ((1 - x^2) P_n'(x)^2) takes
-    P_n' at the node from the Taylor expansion about x0, whose first-order
-    term is carried in double-double.  Rules are memoized per order, so
+    converge in binary64 Newton: every order 1-2000 settles in at most 5 of
+    the loop's 100 iterations (4 for all but n = 1 and n = 4-9), so the loop
+    has no failure branch, and a slow test checks every rule.  One
+    double-double pass of the three-term recurrence at those binary64 roots
+    x0 gives P_{n-1} and P_n, and from them P_n' and, through Legendre's
+    equation, P_n'' and P_n'''.  The node is one Halley step from x0.  Its
+    weight 2 / ((1 - x^2) P_n'(x)^2) takes P_n' at the node from the Taylor
+    expansion about x0, whose first-order term is carried in double-double.
+    Rules are memoized per order, so
     every caller shares one read-only rule of each order.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -250,8 +240,6 @@ def gauss_legendre(n: int) -> QuadratureRule:
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    else:
-        raise NewtonConvergenceError(int(np.argmax(np.abs(dx))), n)
 
     # P_{j+1} = a_j x P_j - b_j P_{j-1} with a_j = (2j+1)/(j+1), b_j = j/(j+1)
     # in dd; x is binary64, so a block of a_j x is one array call

@@ -39,7 +39,6 @@ part of scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -197,15 +196,14 @@ def _newton_jacobian(u, x, h):
             1.0 / (h * h) - fp[2:-1] / 12.0)
 
 
-def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
-             _u0: Optional[np.ndarray] = None) -> HastingsMcLeodSolution:
+def solve_hm(x_left: float = -10.0, x_right: float = 8.0,
+             h: float = 0.002) -> HastingsMcLeodSolution:
     """Solve the positive-branch boundary-value problem on [x_left, x_right].
 
     ``-40 <= x_left <= -8``, ``6 <= x_right <= 40`` and ``1e-4 <= h <=
     1/100`` are required; h is nudged so the window divides evenly.  The
     Newton loop stops at a residual of max(1e-8, 8 eps max|u| / h^2), so
-    every accepted h stops above its own rounding floor.  ``_u0`` overrides
-    the initial guess and exists for the failure-path tests.
+    every accepted h stops above its own rounding floor.
 
     Raises NewtonDivergenceError when the residual grows five iterations in
     a row and WrongBranchError when the iterate leaves u > 0.
@@ -221,9 +219,7 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0, h: float = 0.002,
     h = (x_right - x_left) / n_steps
     x = x_left + h * np.arange(n_steps + 1)
 
-    u = _initial_guess(x) if _u0 is None else np.array(_u0, dtype=float)
-    if len(u) != len(x):
-        raise ValueError("initial guess does not match the grid")
+    u = _initial_guess(x)
     u[0] = np.sqrt(-x_left / 2.0)
     u[-1] = airy_ai(x_right)
 

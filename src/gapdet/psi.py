@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -81,37 +80,42 @@ __all__ = [
 _X_MIN = -10.0
 # Every march starts here, from the closed-form far-field seed (module docstring).
 _X_START = 12.5
+# The tightest march tolerance a field accepts (PsiField's docstring).
+_TOL_MIN = 1e-15
+# The largest seed radius of the ray route, whose step count grows as R^2.
+_R_MAX = 64.0
 
 
 @dataclass(eq=False)
 class PsiField:
     """Evaluation context: the parameter x, the potential, and a column cache.
 
-    ``hm`` may be None, in which case the potential u is identically zero (a
-    hook the tests use, since the system is then diagonal and solvable on
-    paper).  The cache maps exact binary64 lambdas to psi11.  ``tol`` is the
-    column accuracy the march aims at: it sets the step of the Magnus grid,
-    which scales as tol^(1/6).  The grid depends on the field alone and the march
-    is elementwise in lambda, so a cached column does not depend, beyond
-    about an ulp, on the batch that marched it.  A fresh field given the
-    same requests reproduces every value bit for bit, which is why the CLI
-    gives each row its own.  The cache lives for one ladder: a PII ladder
-    empties it before its first march, since its keys (s * node) are not
-    asked for at any other s.  x must be at least -10, even on a wider
+    ``hm`` is the Hastings-McLeod solution that gives the potential u.  The
+    cache maps exact binary64 lambdas to psi11; it starts empty and is not a
+    constructor argument.  ``tol`` is the column accuracy the march aims at:
+    it sets the step of the Magnus grid, which scales as tol^(1/6).  It must
+    be at least 1e-15: below that a tenfold step moves psi11 at x = -4 by
+    3e-14 to 4e-14, its rounding wander, while the grid keeps growing as
+    tol^(-1/6) (255 steps at x = 0 at the default, about 1e7 at 1e-40).  The grid
+    depends on the field alone and the march is elementwise in lambda, so a
+    cached column does not depend, beyond about an ulp, on the batch that
+    marched it.  A fresh field given the same requests reproduces every
+    value bit for bit, which is why the CLI gives each row its own.  The
+    cache lives for one ladder: a PII ladder empties it before its first
+    march, since its keys (s * node) are not asked for at any other s.  x
+    must lie in the solved window and be at least -10, even on a wider
     window: further left the march loses psi_det = 1 at order 1.
     """
 
     x: float
-    hm: Optional[HastingsMcLeodSolution]
+    hm: HastingsMcLeodSolution
     tol: float = 1e-12
-    cache: dict = field(default_factory=dict, repr=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol = {self.tol} must be finite and positive")
-        if not math.isfinite(self.x):
-            raise ValueError(f"x = {self.x} must be finite")
-        if self.hm is not None and not self.hm.x_left <= self.x <= self.hm.x_right:
+        if not (_TOL_MIN <= self.tol < math.inf):
+            raise ValueError(f"tol = {self.tol} must be finite and at least {_TOL_MIN}")
+        if not self.hm.x_left <= self.x <= self.hm.x_right:
             raise ValueError(
                 f"x = {self.x} outside the solved window "
                 f"[{self.hm.x_left}, {self.hm.x_right}]"
@@ -124,8 +128,6 @@ class PsiField:
     def _u(self, xs: np.ndarray) -> np.ndarray:
         """u at many abscissae: the Hermite interpolant in the solved window,
         Ai beyond it, so the window's end cubic is never extrapolated."""
-        if self.hm is None:
-            return np.zeros_like(xs)
         far = xs > self.hm.x_right
         u = np.empty_like(xs)
         u[~far] = self.hm._u_ux(xs[~far])[0]
@@ -134,8 +136,6 @@ class PsiField:
         return u
 
     def _u_ux_v_here(self):
-        if self.hm is None:
-            return 0.0, 0.0, 0.0
         return self.hm.u_at(self.x), self.hm.u_x_at(self.x), v_at(self.hm, self.x)
 
 
@@ -375,11 +375,14 @@ def psi_column_ray(field_: PsiField, lam: float, R: float = 8.0,
                    path: str = "dogleg") -> np.ndarray:
     """[psi11, psi21] integrated along rays in the spectral plane.
 
-    Starts at lambda0 = iR (R finite and > 0) from the first-order far-field
+    Starts at lambda0 = iR (0 < R <= 64) from the first-order far-field
     seed and follows either the dog-leg iR -> 0 -> lam (default) or the
     straight segment iR -> lam, each leg by ``_ray_leg``.  The result is
     entire in lambda, so the two paths must agree.  Seed bias is O(R^-2):
-    good for property tests, not for production determinants.  The direct
+    good for property tests, not for production determinants.  The leg from
+    iR takes about 113 R^2 steps, so R is capped where the bias has fallen
+    to a few 1e-6 (3.7e-6 against the march at lam = 0.5, x = 0, R = 64)
+    and a call still takes well under a second.  The direct
     path is refused for |lam| > 1.5: at R = 8 and x in {-1, 0, 1} its gap to
     the dog-leg, an error the path amplifies, is <= 1e-10 for |lam| <= 1.5,
     1e-7 to 2e-5 at |lam| = 2 and 1e10 to 5e12 at |lam| = 3; at lam = 1.5 it
@@ -390,8 +393,8 @@ def psi_column_ray(field_: PsiField, lam: float, R: float = 8.0,
         raise ValueError(f"unknown path {path!r}")
     if path == "direct" and not abs(lam) <= 1.5:
         raise ValueError(f"the direct path is not accurate at |lambda| = {abs(lam)} > 1.5")
-    if not (math.isfinite(R) and R > 0.0):
-        raise ValueError(f"seed radius R = {R} must be finite and positive")
+    if not 0.0 < R <= _R_MAX:
+        raise ValueError(f"seed radius R = {R} must lie in (0, {_R_MAX}]")
     u, _, v = field_._u_ux_v_here()
     lam0 = 1j * R
     phi = (1.0 - 1j * v / (2.0 * lam0), u / (2.0 * lam0))

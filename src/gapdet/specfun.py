@@ -35,7 +35,6 @@ __all__ = [
     "CONSTANTS",
     "airy_ai",
     "airy_ai_prime",
-    "zeta_prime_minus1",
 ]
 
 # 36-digit literals, parsed exactly at import time.
@@ -46,7 +45,11 @@ _LN2 = Fraction("0.693147180559945309417232121458176568")
 
 @dataclass(frozen=True)
 class Constants:
-    """The closed-form constants entering the large-gap expansions, exactly."""
+    """The closed-form constants entering the large-gap expansions, exactly.
+
+    ``zeta_prime_minus1`` is zeta'(-1), equal to 1/12 minus the log of the
+    Glaisher constant.
+    """
 
     zeta_prime_minus1: Fraction
     ln2: Fraction
@@ -56,11 +59,6 @@ class Constants:
 
 CONSTANTS = Constants(_ZETA_PRIME_MINUS1, _LN2, -_LN2 / 6 + 3 * _ZETA_PRIME_MINUS1,
                       _LN2 / 12 + 3 * _ZETA_PRIME_MINUS1)
-
-
-def zeta_prime_minus1() -> Fraction:
-    """zeta'(-1), equal to 1/12 minus the log of the Glaisher constant."""
-    return CONSTANTS.zeta_prime_minus1
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,22 @@ def hm():
 
 
 @pytest.fixture(scope="session")
+def free_hm():
+    """A zero profile, u = u_x = v = 0, on [-10, _X_START].
+
+    On it the linear system decouples and its columns are known in closed
+    form.  The window ends where every march starts, so the potential is
+    read from the (zero) interpolant everywhere and never from Ai.
+    """
+    x = np.linspace(-10.0, _X_START, 2251)
+    zero = np.zeros_like(x)
+    return HastingsMcLeodSolution(
+        x_left=-10.0, x_right=_X_START, h=float(x[1] - x[0]),
+        x=x, u=zero, u_x=zero, v=zero, residual=0.0, iterations=0,
+    )
+
+
+@pytest.fixture(scope="session")
 def shooting_hm():
     """Test-only oracle for the Hastings-McLeod profile, independent of solve_hm.
 

@@ -1,5 +1,7 @@
 """Smoke tests for the public surface: the demo scripts and ``__all__``."""
 
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -25,3 +27,20 @@ def test_demo_runs(script):
 def test_every_public_name_resolves():
     missing = [name for name in gapdet.__all__ if not hasattr(gapdet, name)]
     assert missing == []
+
+
+def test_no_public_signature_carries_a_test_hook():
+    # Tests reach their special states through fixtures and monkeypatching,
+    # so no public callable takes an underscore parameter, and a field is
+    # built from its x, its profile and its tolerance alone.
+    hooks = []
+    for name in gapdet.__all__:
+        obj = getattr(gapdet, name)
+        if not callable(obj):
+            continue
+        if isinstance(obj, type) and issubclass(obj, Exception) and "__init__" not in vars(obj):
+            continue                        # the builtin's (*args), no signature to read
+        hooks += [f"{name}({p})" for p in inspect.signature(obj).parameters if p.startswith("_")]
+    assert hooks == []
+    init = tuple(f.name for f in dataclasses.fields(gapdet.PsiField) if f.init)
+    assert init == ("x", "hm", "tol")

@@ -160,8 +160,8 @@ def test_rank_structured_values_are_bounded_with_positive_diagonal(hm):
             assert abs(kernel_eval(spec, float(lam), 0.31)) <= 10.0
 
 
-def test_zero_potential_reduces_to_cubic_trig():
-    f = PsiField(x=1.0, hm=None)
+def test_zero_potential_reduces_to_cubic_trig(free_hm):
+    f = PsiField(x=1.0, hm=free_hm)
     free = PII(x=1.0, field=f)
     trig = CubicSine(t=1.0, x=1.0)
     for a, b in ((-1.0, 0.2), (0.7, 1.4), (2.0, -0.5)):

@@ -12,7 +12,6 @@ import pytest
 from gapdet import PsiField
 from gapdet.kernels import PII, CubicSine, kernel_matrix
 from gapdet.mpnum import (
-    NewtonConvergenceError,
     NotPositiveDefiniteError,
     dd_add,
     dd_mul,
@@ -188,6 +187,25 @@ def test_rule_is_deterministic():
         gauss_legendre(True)
 
 
+@pytest.mark.slow
+def test_every_accepted_order_builds_a_sound_rule():
+    # The binary64 Newton that starts each rule has no failure branch: on
+    # every accepted order it settles in at most 5 of its 100 iterations.  A
+    # rule it left short would lose its order, its symmetry or its sums
+    # (measured worst: 3.2e-17 n and 3.7e-17 n).  The rules are built
+    # unmemoized, so the memo does not keep all 2000 of them (about 64 MB).
+    for n in range(1, 2001):
+        r = gauss_legendre.__wrapped__(n)
+        (xh, xl), (wh, wl) = r.nodes, r.weights
+        assert -1.0 < xh[0] and np.all(np.diff(xh) > 0.0) and xh[-1] < 1.0, n
+        assert np.array_equal(xh, -xh[::-1]) and np.array_equal(xl, -xl[::-1]), n
+        assert np.all(wh > 0.0), n
+        assert np.array_equal(wh, wh[::-1]) and np.array_equal(wl, wl[::-1]), n
+        assert abs(np.sum(wh) - 2.0) <= 1e-16 * n, n
+        if n > 1:                           # one node integrates x^2 to 0
+            assert abs(np.sum(wh * xh * xh) - 2.0 / 3.0) <= 1e-16 * n, n
+
+
 # --- LDL^T determinants -----------------------------------------------------
 
 
@@ -315,6 +333,3 @@ def test_log_det_on_the_nystrom_matrices_that_matter(hm):
         err = abs(_mp(res.log_abs_det) - _exact_logdet_oracle(m))
         assert err <= np.linalg.cond(m) * 2.0 ** -106
 
-
-def test_newton_error_type_exists():
-    assert issubclass(NewtonConvergenceError, Exception)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import gapdet.painleve2
 from gapdet.painleve2 import (
     NewtonDivergenceError,
     WrongBranchError,
@@ -218,11 +219,13 @@ def test_evaluation_outside_window_rejected(hm):
     tw_integral(hm, 7.0)
 
 
-def test_negated_start_is_detected_as_wrong_branch(hm):
+def test_negated_start_is_detected_as_wrong_branch(hm, monkeypatch):
+    monkeypatch.setattr(gapdet.painleve2, "_initial_guess", lambda x: -hm.u)
     with pytest.raises(WrongBranchError):
-        solve_hm(_u0=-hm.u)
+        solve_hm()
 
 
-def test_hopeless_start_raises_divergence(hm):
+def test_hopeless_start_raises_divergence(monkeypatch):
+    monkeypatch.setattr(gapdet.painleve2, "_initial_guess", lambda x: np.full(x.size, 1e30))
     with pytest.raises(NewtonDivergenceError):
-        solve_hm(_u0=np.full(hm.x.size, 1e30))
+        solve_hm()

@@ -31,11 +31,11 @@ def field8(hm):
     return PsiField(x=8.0, hm=hm)
 
 
-def test_zero_potential_reduces_to_pure_oscillation():
-    # With no potential attached the system decouples and the columns are
-    # exactly (exp(-i theta), -i exp(+i theta)); at x = 12.5, where every march
+def test_zero_potential_reduces_to_pure_oscillation(free_hm):
+    # On a zero profile the system decouples and the columns are exactly
+    # (exp(-i theta), -i exp(+i theta)); at x = 12.5, where every march
     # starts, it takes no step at all.
-    for f in (PsiField(x=1.0, hm=None), PsiField(x=12.5, hm=None)):
+    for f in (PsiField(x=1.0, hm=free_hm), PsiField(x=12.5, hm=free_hm)):
         for lam in (-3.0, -0.7, 0.0, 1.3, 4.0):
             c = psi_column(f, lam)
             theta = (4.0 / 3.0) * lam**3 + f.x * lam
@@ -206,8 +206,8 @@ def test_derivative_matches_finite_difference(field0):
     assert abs(d2 - fd2) <= 1e-6
 
 
-def test_derivative_closed_form_without_potential():
-    f = PsiField(x=2.0, hm=None)
+def test_derivative_closed_form_without_potential(free_hm):
+    f = PsiField(x=2.0, hm=free_hm)
     lam = 1.1
     d1, d2 = psi_column_derivative(f, lam)
     theta = (4.0 / 3.0) * lam**3 + 2.0 * lam
@@ -262,7 +262,7 @@ def test_direct_ray_path_is_refused_beyond_one_and_a_half(field0):
     assert np.max(np.abs(a - psi_column_ray(field0, -1.5))) <= 1e-9
 
 
-def test_ray_leg_forms_its_steps_in_bounded_blocks(monkeypatch):
+def test_ray_leg_forms_its_steps_in_bounded_blocks(monkeypatch, free_hm):
     # A leg's step count grows as R^2 (about 29,000 per leg at R = 16), so
     # its step matrices are formed a block at a time: memory stays bounded
     # at any R.
@@ -274,7 +274,7 @@ def test_ray_leg_forms_its_steps_in_bounded_blocks(monkeypatch):
         return matrix(field_, lam)
 
     monkeypatch.setattr(gapdet.psi, "_lambda_matrix", recording)
-    psi_column_ray(PsiField(x=0.0, hm=None), 0.5, R=16.0)
+    psi_column_ray(PsiField(x=0.0, hm=free_hm), 0.5, R=16.0)
     assert sum(sizes) > 20000 and max(sizes) <= 4096
 
 
@@ -316,25 +316,28 @@ def test_spectral_argument_range(field0):
         psi_column_ray(field0, nan)
 
 
-def test_field_window_validation(hm):
+def test_field_window_validation(hm, free_hm):
     with pytest.raises(ValueError):
         PsiField(x=8.5, hm=hm)
     with pytest.raises(ValueError):
         PsiField(x=-10.5, hm=hm)
-    # without a solution there is no window, but x must still be finite
-    for x in (math.inf, float("nan")):
-        with pytest.raises(ValueError):
-            PsiField(x=x, hm=None)
-    # a bad march tolerance must fail here, not inside the first march
-    for tol in (0.0, -1e-12, float("nan"), math.inf):
+    # a non-finite x lies in no window, even the zero profile's [-10, 12.5]
+    for x in (math.inf, -math.inf, float("nan")):
+        with pytest.raises(ValueError, match="window"):
+            PsiField(x=x, hm=free_hm)
+    # a bad march tolerance must fail here, not inside the first march; below
+    # 1e-15 the columns stop improving while the grid grows as tol^(-1/6)
+    for tol in (0.0, -1e-12, float("nan"), math.inf, 1e-16, 1e-40):
         with pytest.raises(ValueError):
             PsiField(x=0.0, hm=hm, tol=tol)
+    PsiField(x=0.0, hm=hm, tol=1e-15)
 
 
 def test_ray_path_name_validation(field0):
     with pytest.raises(ValueError):
         psi_column_ray(field0, 0.5, path="zigzag")
-    # the seed sits at lambda0 = iR, which must be a finite point above 0
-    for r in (0.0, -8.0, float("nan"), math.inf):
+    # the seed sits at lambda0 = iR, which must be a finite point above 0;
+    # the route takes about 113 R^2 steps, so R is capped at 64
+    for r in (0.0, -8.0, float("nan"), math.inf, 100.0, 1e3):
         with pytest.raises(ValueError):
             psi_column_ray(field0, 0.5, R=r)

@@ -1,5 +1,6 @@
 """Airy evaluation and the exact constant block."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gapdet.specfun import CONSTANTS, airy_ai, airy_ai_prime, zeta_prime_minus1
+from gapdet.specfun import CONSTANTS, Constants, airy_ai, airy_ai_prime
 
 mpmath.mp.dps = 50
 
@@ -22,7 +23,7 @@ def _mp(x: Fraction) -> mpmath.mpf:
 def test_zeta_prime_at_minus_one_two_ways():
     want_deriv = mpmath.zeta(-1, derivative=1)
     want_glaisher = mpmath.mpf(1) / 12 - mpmath.log(mpmath.glaisher)
-    got = _mp(zeta_prime_minus1())
+    got = _mp(CONSTANTS.zeta_prime_minus1)
     assert abs(want_deriv - want_glaisher) < 1e-45
     assert abs(got - want_deriv) < 1e-30
 
@@ -40,10 +41,9 @@ def test_constant_identity_between_the_two_tails():
     assert abs(diff + mpmath.log(2) / 4) < 1e-28
 
 
-def test_zeta_prime_is_cached_or_stable():
-    a = zeta_prime_minus1()
-    b = zeta_prime_minus1()
-    assert isinstance(a, Fraction) and a == b
+def test_every_constant_is_an_exact_fraction():
+    values = [getattr(CONSTANTS, f.name) for f in dataclasses.fields(Constants)]
+    assert len(values) == 4 and all(isinstance(v, Fraction) for v in values)
 
 
 # --- Airy --------------------------------------------------------------------

@@ -63,5 +63,5 @@ def test_pii_request_loads_no_scipy(argv):
 
 def test_ray_route_loads_no_scipy():
     # one lambda keeps the probe cheap
-    code = "import gapdet\ngapdet.psi_column_ray(gapdet.PsiField(x=0.0, hm=None), 0.5)"
+    code = "import gapdet\ngapdet.psi_column_ray(gapdet.PsiField(x=0.0, hm=gapdet.solve_hm()), 0.5)"
     assert _loaded_after(code) == []
