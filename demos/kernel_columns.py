@@ -2,7 +2,9 @@
 Column solves and the three kernels
 ===================================
 
-Marches the columns psi = [psi11, psi21] across the spectral window, then
+Marches the columns psi = [psi11, psi21] across the spectral window with
+``psi_columns``, which returns one row per lambda (a single column is row 0
+of a one-lambda batch), then
 evaluates all three kernels on a small grid to show how the rank-structured
 one collapses onto the cubic trig kernel when the potential dies off.
 """
@@ -15,7 +17,6 @@ from gapdet import (
     PsiField,
     Sine,
     kernel_matrix,
-    psi_column,
     psi_columns,
     solve_hm,
 )
@@ -26,7 +27,7 @@ sol = solve_hm()
 
 field = PsiField(x=1.0, hm=sol)
 lam = 0.75
-psi11, psi21 = psi_column(field, lam)
+psi11, psi21 = psi_columns(field, [lam])[0]
 print("lambda = %.2f, x = %.1f" % (lam, field.x))
 print("  psi11 =", psi11)
 print("  psi21 =", psi21)

@@ -5,7 +5,7 @@ The pieces, bottom up: double-double arithmetic on (hi, lo) pairs,
 Gauss-Legendre rules and an extended-precision LDL^T (`mpnum`); Airy functions
 and the expansion constants as exact rationals (`specfun`); the
 Hastings-McLeod solution and its tail integral (`painleve2`); the
-transported linear-system columns (`psi`); the kernels (`kernels`);
+linear-system columns, marched in x (`psi`); the kernels (`kernels`);
 Nystrom determinants and log-derivatives (`fredholm`); the closed-form
 predictions and the exponent fit (`asympt`); and a CLI (`cli`, installed
 as ``gapdet``).
@@ -34,8 +34,6 @@ from .kernels import (
     KernelSpec,
     PII,
     Sine,
-    kernel_diag,
-    kernel_eval,
     kernel_matrix,
 )
 from .mpnum import (
@@ -53,14 +51,7 @@ from .painleve2 import (
     tw_integral,
     v_at,
 )
-from .psi import (
-    PsiField,
-    psi_column,
-    psi_column_derivative,
-    psi_column_ray,
-    psi_columns,
-    psi_det,
-)
+from .psi import PsiField, psi_columns
 from .specfun import CONSTANTS, Constants, airy_ai, airy_ai_prime
 
 __version__ = "0.1.0"
@@ -90,19 +81,13 @@ __all__ = [
     "dyson_sine_prediction",
     "fcet_fit",
     "gauss_legendre",
-    "kernel_diag",
-    "kernel_eval",
     "kernel_matrix",
     "log_det",
     "log_det_converged",
     "log_det_lu",
     "logsasy_prediction",
     "logxasy_prediction",
-    "psi_column",
-    "psi_column_derivative",
-    "psi_column_ray",
     "psi_columns",
-    "psi_det",
     "solve_hm",
     "theorem1_prediction",
     "theorem2_prediction",

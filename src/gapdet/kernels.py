@@ -2,8 +2,8 @@
 interface: the sine kernel, its cubic-phase generalization, and the kernel
 built from the Hastings-McLeod column.
 
-Every value is computed by ``kernel_matrix``; ``kernel_eval`` and
-``kernel_diag`` read one entry of it.  ``kernel_dx_matrix`` is dK/dx on
+Every value is computed by ``kernel_matrix``, on a whole set of points at
+once; a single entry is read off it.  ``kernel_dx_matrix`` is dK/dx on
 the same points, for the x-slope of the determinant; the trig kernels
 build it from the same phase.  Evaluation conventions that matter
 numerically:
@@ -46,9 +46,7 @@ __all__ = [
     "KernelSpec",
     "PII",
     "Sine",
-    "kernel_diag",
     "kernel_dx_matrix",
-    "kernel_eval",
     "kernel_matrix",
 ]
 
@@ -119,16 +117,6 @@ def _columns_and_diagonal(field: PsiField, lams: np.ndarray):
     a = cols[:, 0]
     da = _lambda_derivative(field, lams, a, cols[:, 1])[0]
     return a, (a.imag * da.real - a.real * da.imag) / math.pi
-
-
-def kernel_eval(spec: KernelSpec, lam: float, mu: float) -> float:
-    """K(lambda, mu) for any variant: the off-diagonal entry of ``kernel_matrix``."""
-    return float(kernel_matrix(spec, [lam, mu])[0, 1])
-
-
-def kernel_diag(spec: KernelSpec, lam: float) -> float:
-    """K(lambda, lambda): the one entry of ``kernel_matrix`` on [lambda]."""
-    return float(kernel_matrix(spec, [lam])[0, 0])
 
 
 def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:

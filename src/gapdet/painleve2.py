@@ -13,8 +13,7 @@ node values (u, u_x), and u_x from (u_x, u_xx), where u_xx = x u + 2 u^3
 is read off the equation itself.  Both are fourth order in h, and each
 node returns its stored values.
 v = (u_x)^2 - x u^2 - u^4 is formed pointwise from the two.  The auxiliary
-quantity v shows up in the logarithmic-derivative expansions and in the
-far-field initialization of the linear system solved in psi.py.
+quantity v shows up in the logarithmic-derivative expansions.
 
 Accuracy notes.  The left boundary uses only the leading asymptote, so a
 ~1e-3 truncation error lives in a boundary layer near x_left; keep working
@@ -75,16 +74,15 @@ class WrongBranchError(RuntimeError):
 
 @dataclass(frozen=True)
 class HastingsMcLeodSolution:
-    """u, u_x and v on the solve's grid of step h over [x_left, x_right].
+    """u, u_x and v on a uniform grid x.
 
     Immutable.  Between nodes, u and u_x are cubic Hermite interpolants
     whose node slopes are u_x and u_xx = x u + 2 u^3 (module docstring); the
     constructor checks that the grid increases and the arrays share it.
+    The window [x_left, x_right] and the step h are read off the grid, so
+    they cannot disagree with it.
     """
 
-    x_left: float
-    x_right: float
-    h: float
     x: np.ndarray
     u: np.ndarray
     u_x: np.ndarray
@@ -98,6 +96,18 @@ class HastingsMcLeodSolution:
             raise ValueError("x, u, u_x and v must share one grid of at least two nodes")
         if not np.all(np.diff(self.x) > 0.0):
             raise ValueError("the grid x must be strictly increasing")
+
+    @property
+    def x_left(self) -> float:
+        return float(self.x[0])
+
+    @property
+    def x_right(self) -> float:
+        return float(self.x[-1])
+
+    @property
+    def h(self) -> float:
+        return float((self.x[-1] - self.x[0]) / (len(self.x) - 1))
 
     def _check(self, x: float):
         if not self.x_left <= x <= self.x_right:
@@ -201,9 +211,10 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0,
     """Solve the positive-branch boundary-value problem on [x_left, x_right].
 
     ``-40 <= x_left <= -8``, ``6 <= x_right <= 40`` and ``1e-4 <= h <=
-    1/100`` are required; h is nudged so the window divides evenly.  The
-    Newton loop stops at a residual of max(1e-8, 8 eps max|u| / h^2), so
-    every accepted h stops above its own rounding floor.
+    1/100`` are required; h is nudged so the window divides evenly, and
+    the grid's last node is x_right itself.  The Newton loop stops at a
+    residual of max(1e-8, 8 eps max|u| / h^2), so every accepted h stops
+    above its own rounding floor.
 
     Raises NewtonDivergenceError when the residual grows five iterations in
     a row and WrongBranchError when the iterate leaves u > 0.
@@ -218,6 +229,7 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0,
     n_steps = int(round((x_right - x_left) / h))
     h = (x_right - x_left) / n_steps
     x = x_left + h * np.arange(n_steps + 1)
+    x[-1] = x_right                 # the product can miss the end by an ulp or two
 
     u = _initial_guess(x)
     u[0] = np.sqrt(-x_left / 2.0)
@@ -273,10 +285,7 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0,
 
     u_x = _deriv4(u, h)
     v = u_x * u_x - x * u * u - u ** 4
-    return HastingsMcLeodSolution(
-        x_left=float(x_left), x_right=float(x_right), h=float(h),
-        x=x, u=u, u_x=u_x, v=v, residual=rn, iterations=len(trace),
-    )
+    return HastingsMcLeodSolution(x=x, u=u, u_x=u_x, v=v, residual=rn, iterations=len(trace))
 
 
 def v_at(sol: HastingsMcLeodSolution, x: float) -> float:

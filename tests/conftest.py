@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gapdet import solve_hm
+from gapdet import solve_hm, v_at
 from gapdet.painleve2 import HastingsMcLeodSolution
 from gapdet.psi import _X_START
 
@@ -36,10 +36,7 @@ def free_hm():
     """
     x = np.linspace(-10.0, _X_START, 2251)
     zero = np.zeros_like(x)
-    return HastingsMcLeodSolution(
-        x_left=-10.0, x_right=_X_START, h=float(x[1] - x[0]),
-        x=x, u=zero, u_x=zero, v=zero, residual=0.0, iterations=0,
-    )
+    return HastingsMcLeodSolution(x=x, u=zero, u_x=zero, v=zero, residual=0.0, iterations=0)
 
 
 @pytest.fixture(scope="session")
@@ -68,10 +65,7 @@ def shooting_hm():
     x = np.linspace(-2.0, 8.0, 5001)
     u, u_x = res.sol(x)
     v = u_x * u_x - x * u * u - u ** 4
-    return HastingsMcLeodSolution(
-        x_left=-2.0, x_right=8.0, h=float(x[1] - x[0]),
-        x=x, u=u, u_x=u_x, v=v, residual=0.0, iterations=0,
-    )
+    return HastingsMcLeodSolution(x=x, u=u, u_x=u_x, v=v, residual=0.0, iterations=0)
 
 
 @pytest.fixture(scope="session")
@@ -106,7 +100,7 @@ def dop853_columns():
 
 @pytest.fixture(scope="session")
 def dop853_ray_column():
-    """Test-only oracle for psi_column_ray, independent of its Magnus legs.
+    """Test-only oracle for oracles.psi_column_ray, independent of its Magnus legs.
 
     The ray route as it ran on scipy's DOP853: the same first-order seed at
     lambda0 = iR and the same path, each leg integrating the phase-extracted
@@ -115,8 +109,8 @@ def dop853_ray_column():
     from scipy.integrate import solve_ivp
 
     def ray(field_, lam, R=8.0, path="dogleg", tol=1e-13):
-        u, ux, v = field_._u_ux_v_here()
         x = field_.x
+        u, ux, v = field_.hm.u_at(x), field_.hm.u_x_at(x), v_at(field_.hm, x)
         u2 = u * u
         lam0 = 1j * R
         y = np.array([1.0 - 1j * v / (2.0 * lam0), u / (2.0 * lam0)], dtype=complex)

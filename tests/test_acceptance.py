@@ -25,14 +25,13 @@ from gapdet import (
     log_det_converged,
     logsasy_prediction,
     logxasy_prediction,
-    psi_column_ray,
-    psi_det,
     theorem1_prediction,
     theorem2_prediction,
     tw_integral,
     v_at,
 )
 from gapdet.specfun import airy_ai
+from oracles import psi_column_ray, psi_det
 
 
 def _report(num: int, name: str, failures: list, detail: str) -> None:

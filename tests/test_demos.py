@@ -1,5 +1,6 @@
 """Smoke tests for the public surface: the demo scripts and ``__all__``."""
 
+import ast
 import dataclasses
 import inspect
 import os
@@ -13,6 +14,7 @@ import gapdet
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = ROOT / "src" / "gapdet"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
@@ -44,3 +46,23 @@ def test_no_public_signature_carries_a_test_hook():
     assert hooks == []
     init = tuple(f.name for f in dataclasses.fields(gapdet.PsiField) if f.init)
     assert init == ("x", "hm", "tol")
+
+
+def _names_in_code(path: Path) -> set:
+    # identifiers the code reads, not words in its docstrings or comments
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for node in ast.walk(ast.parse(path.read_text()))}
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    # A public function that only the tests call belongs in tests/: each one
+    # is read by a demo or by a library module other than its own.
+    read = {p: _names_in_code(p) for p in [*PACKAGE.glob("*.py"), *DEMOS]}
+    orphans = []
+    for name in gapdet.__all__:
+        obj = getattr(gapdet, name)
+        if inspect.isfunction(obj):
+            home = PACKAGE / f"{obj.__module__.rsplit('.', 1)[-1]}.py"
+            if not any(name in read[p] for p in read if p != home):
+                orphans.append(name)
+    assert orphans == []

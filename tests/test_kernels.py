@@ -14,11 +14,16 @@ from gapdet import (
     PsiField,
     Sine,
     gauss_legendre,
-    kernel_diag,
-    kernel_eval,
     kernel_matrix,
-    psi_column,
+    psi_columns,
 )
+
+
+def entry(spec, lam, mu=None):
+    """K(lam, mu) read off ``kernel_matrix``; K(lam, lam) when mu is None."""
+    if mu is None:
+        return float(kernel_matrix(spec, [lam])[0, 0])
+    return float(kernel_matrix(spec, [lam, mu])[0, 1])
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +35,8 @@ def test_sine_closed_form():
     s = Sine(x=2.0)
     for a, b in ((0.3, -0.9), (1.1, 1.7), (-2.0, 0.0)):
         want = math.sin((a - b) * 2.0) / (math.pi * (a - b))
-        assert abs(kernel_eval(s, a, b) - want) <= 1e-15
-    assert kernel_diag(s, 0.7) == 2.0 / math.pi
+        assert abs(entry(s, a, b) - want) <= 1e-15
+    assert entry(s, 0.7) == 2.0 / math.pi
 
 
 def test_cubic_phase_closed_form():
@@ -39,15 +44,15 @@ def test_cubic_phase_closed_form():
     a, b = 0.8, -0.3
     phase = (a - b) * ((4.0 / 3.0) * 0.5 * (a * a + b * b + a * b) + 1.0)
     want = math.sin(phase) / (math.pi * (a - b))
-    assert abs(kernel_eval(s, a, b) - want) <= 1e-14
+    assert abs(entry(s, a, b) - want) <= 1e-14
     want_diag = (4.0 * 0.5 * 1.2**2 + 1.0) / math.pi
-    assert abs(kernel_diag(s, 1.2) - want_diag) <= 1e-15
+    assert abs(entry(s, 1.2) - want_diag) <= 1e-15
 
 
 def test_kernels_are_symmetric_bitwise():
     for spec in (Sine(x=1.0), CubicSine(t=0.7, x=-1.0)):
         for a, b in ((0.4, 1.9), (-1.2, 0.05)):
-            assert kernel_eval(spec, a, b) == kernel_eval(spec, b, a)
+            assert entry(spec, a, b) == entry(spec, b, a)
 
 
 def test_zero_t_collapses_to_the_plain_sine_kernel():
@@ -55,7 +60,7 @@ def test_zero_t_collapses_to_the_plain_sine_kernel():
     s = Sine(x=1.3)
     c = CubicSine(t=0.0, x=1.3)
     for a, b in ((0.2, -0.7), (1.5, 1.5000001), (-2.0, 2.0)):
-        assert kernel_eval(c, a, b) == kernel_eval(s, a, b)
+        assert entry(c, a, b) == entry(s, a, b)
     xs = np.linspace(-2.0, 2.0, 21)
     assert np.array_equal(kernel_matrix(c, xs), kernel_matrix(s, xs))
 
@@ -64,8 +69,8 @@ def test_near_diagonal_switch_is_seamless():
     # Straddle the Taylor switch with a +-1e-13 relative nudge.
     for spec in (Sine(x=1.0), CubicSine(t=1.0, x=1.0)):
         lam = 0.6
-        below = kernel_eval(spec, lam, lam - 1e-6 * (1 - 1e-13))
-        above = kernel_eval(spec, lam, lam - 1e-6 * (1 + 1e-13))
+        below = entry(spec, lam, lam - 1e-6 * (1 - 1e-13))
+        above = entry(spec, lam, lam - 1e-6 * (1 + 1e-13))
         assert abs(below - above) <= 1e-9
 
 
@@ -74,9 +79,9 @@ def test_diagonal_limit_matches_nearby_evaluation():
     # that is the diagonal point to compare against.
     for spec in (Sine(x=0.5), CubicSine(t=0.9, x=2.0)):
         lam = -0.8
-        near = kernel_eval(spec, lam, lam - 1e-7)
-        assert abs(near - kernel_diag(spec, lam - 5e-8)) <= 1e-12
-        assert abs(near - kernel_diag(spec, lam)) <= 1e-6
+        near = entry(spec, lam, lam - 1e-7)
+        assert abs(near - entry(spec, lam - 5e-8)) <= 1e-12
+        assert abs(near - entry(spec, lam)) <= 1e-6
 
 
 def test_matrix_equals_scalar_grid_for_trig():
@@ -112,17 +117,17 @@ def test_rank_structured_matrix_matches_scalar_evaluation(pii1):
     h = 1e-4
     k = kernel_matrix(pii1, xs)
     for i, a in enumerate(xs):
-        ca = psi_column(pii1.field, float(a))
+        ca = psi_columns(pii1.field, [float(a)])[0]
         for j, b in enumerate(xs):
             if i == j:
-                hi = psi_column(pii1.field, float(a) + h)
-                lo = psi_column(pii1.field, float(a) - h)
+                hi = psi_columns(pii1.field, [float(a) + h])[0]
+                lo = psi_columns(pii1.field, [float(a) - h])[0]
                 d11 = (hi[0] - lo[0]) / (2 * h)
                 d21 = (hi[1] - lo[1]) / (2 * h)
                 want = (d21 * ca[0] - d11 * ca[1]) / (2 * math.pi)
                 tol = 1e-6
             else:
-                cb = psi_column(pii1.field, float(b))
+                cb = psi_columns(pii1.field, [float(b)])[0]
                 want = (ca[1] * cb[0] - cb[1] * ca[0]) / (2 * math.pi * (a - b))
                 tol = 1e-12
             assert abs(want.imag) <= 1e-7
@@ -149,15 +154,15 @@ def test_near_diagonal_entries_march_in_one_batch(hm, monkeypatch):
     assert marches == [64, len(np.unique(mids[stray]))]
     assert np.array_equal(k, k.T)
     for i, j in zip(*np.nonzero(stray)):
-        assert abs(k[i, j] - kernel_diag(spec, float(mids[i, j]))) <= 1e-12
+        assert abs(k[i, j] - entry(spec, float(mids[i, j]))) <= 1e-12
 
 
 def test_rank_structured_values_are_bounded_with_positive_diagonal(hm):
     for x in (-2.0, 0.0, 3.0, 8.0):
         spec = PII(x=x, field=PsiField(x=x, hm=hm))
         for lam in np.linspace(-2.0, 2.0, 7):
-            assert kernel_diag(spec, float(lam)) > 0.0
-            assert abs(kernel_eval(spec, float(lam), 0.31)) <= 10.0
+            assert entry(spec, float(lam)) > 0.0
+            assert abs(entry(spec, float(lam), 0.31)) <= 10.0
 
 
 def test_zero_potential_reduces_to_cubic_trig(free_hm):
@@ -165,9 +170,9 @@ def test_zero_potential_reduces_to_cubic_trig(free_hm):
     free = PII(x=1.0, field=f)
     trig = CubicSine(t=1.0, x=1.0)
     for a, b in ((-1.0, 0.2), (0.7, 1.4), (2.0, -0.5)):
-        assert abs(kernel_eval(free, a, b) - kernel_eval(trig, a, b)) <= 1e-9
+        assert abs(entry(free, a, b) - entry(trig, a, b)) <= 1e-9
     for lam in (-1.0, 0.0, 1.5):
-        assert abs(kernel_diag(free, lam) - kernel_diag(trig, lam)) <= 1e-9
+        assert abs(entry(free, lam) - entry(trig, lam)) <= 1e-9
 
 
 def test_large_x_agreement_with_cubic_trig(hm):
@@ -178,7 +183,7 @@ def test_large_x_agreement_with_cubic_trig(hm):
     kp = kernel_matrix(spec, pts)
     kt = kernel_matrix(trig, pts)
     assert np.max(np.abs(kp - kt)) <= 1e-4
-    assert abs(kernel_diag(spec, 0.0) - 8.0 / math.pi) <= 1e-4
+    assert abs(entry(spec, 0.0) - 8.0 / math.pi) <= 1e-4
 
 
 def test_parameter_validation(hm):
@@ -203,12 +208,12 @@ def test_parameter_validation(hm):
 
 def test_poisoned_cache_is_caught(hm):
     f = PsiField(x=1.0, hm=hm)
-    psi_column(f, 0.5)
+    psi_columns(f, [0.5])
     spec = PII(x=1.0, field=f)
     # a NaN psi11, the one value the cache stores
     f.cache[0.5] = complex(np.nan, 0.0)
     with pytest.raises(KernelIntegrityError):
-        kernel_eval(spec, 0.5, 1.0)
+        entry(spec, 0.5, 1.0)
     with pytest.raises(KernelIntegrityError):
         kernel_matrix(spec, np.array([0.5, 1.0, 1.5]))
     # the poisoned column as the midpoint of a near-diagonal pair, whose
@@ -244,7 +249,7 @@ def test_x_derivative_zero_t_is_the_sine_kernels_bitwise():
 
 def test_poisoned_cache_is_caught_by_the_x_derivative(hm):
     f = PsiField(x=1.0, hm=hm)
-    psi_column(f, 0.5)
+    psi_columns(f, [0.5])
     f.cache[0.5] = complex(np.nan, 0.0)
     with pytest.raises(KernelIntegrityError, match="x-derivative"):
         kernel_dx_matrix(PII(x=1.0, field=f), np.array([0.5, 1.0]))

@@ -148,6 +148,21 @@ def test_hermite_profile_returns_the_stored_node_values(hm):
     assert hm.u_at(hm.x_left) == hm.u[0] and hm.u_x_at(hm.x_right) == hm.u_x[-1]
 
 
+def test_window_and_step_are_read_off_the_grid(hm, free_hm):
+    # x_left + h * k misses x_right on about half the windows (by 8.9e-16
+    # at 7.3), so solve_hm pins the last node
+    sol = solve_hm(x_right=7.3)
+    assert sol.x[-1] == sol.x_right == 7.3 and sol.h == (7.3 + 10.0) / 8650
+    # a hand-built solution claims exactly its grid, and nothing past it
+    assert (free_hm.x_left, free_hm.x_right) == (free_hm.x[0], free_hm.x[-1]) == (-10.0, 12.5)
+    short = dataclasses.replace(hm, **{k: getattr(hm, k)[:8001] for k in ("x", "u", "u_x", "v")})
+    assert short.x_right == short.x[-1] == 6.0 and short.h == hm.h
+    with pytest.raises(ValueError, match="window"):
+        short.u_at(7.0)
+    with pytest.raises(TypeError):
+        dataclasses.replace(hm, x_right=12.0)
+
+
 def test_unsorted_or_mismatched_grid_rejected(hm):
     # the interpolant locates each point's interval by bisection on x
     swapped = hm.x.copy()

@@ -6,17 +6,11 @@ import numpy as np
 import pytest
 
 import gapdet.psi
-from gapdet import (
-    PsiField,
-    gauss_legendre,
-    psi_column,
-    psi_column_derivative,
-    psi_column_ray,
-    psi_columns,
-    psi_det,
-    solve_hm,
-)
+import oracles
+from gapdet import PsiField, gauss_legendre, psi_columns, solve_hm
+from gapdet.psi import _lambda_derivative
 from gapdet.specfun import airy_ai
+from oracles import psi_column_ray, psi_det
 
 LAM_GRID = np.linspace(-4.0, 4.0, 17)
 
@@ -37,7 +31,7 @@ def test_zero_potential_reduces_to_pure_oscillation(free_hm):
     # starts, it takes no step at all.
     for f in (PsiField(x=1.0, hm=free_hm), PsiField(x=12.5, hm=free_hm)):
         for lam in (-3.0, -0.7, 0.0, 1.3, 4.0):
-            c = psi_column(f, lam)
+            c = psi_columns(f, [lam])[0]
             theta = (4.0 / 3.0) * lam**3 + f.x * lam
             assert abs(c[0] - np.exp(-1j * theta)) <= 1e-9
             assert abs(c[1] - (-1j) * np.exp(1j * theta)) <= 1e-9
@@ -103,7 +97,7 @@ def test_batch_and_single_evaluations_agree(hm):
     lams = np.array([-1.5, -0.25, 0.75, 2.0])
     batch = psi_columns(batch_field, lams)
     for lam, cb in zip(lams, batch):
-        cs = psi_column(single_field, float(lam))
+        cs = psi_columns(single_field, [float(lam)])[0]
         assert abs(cb[0] - cs[0]) <= 1e-9
         assert abs(cb[1] - cs[1]) <= 1e-9
 
@@ -127,7 +121,7 @@ def test_a_column_marched_alone_matches_its_ladder_batch(hm):
         lams = np.concatenate([2.0 * gauss_legendre(n).nodes_f8 for n in (32, 64)])
         batch = psi_columns(PsiField(x=x, hm=hm), lams)
         for lam, cb in list(zip(lams, batch))[::8]:
-            ca = psi_column(PsiField(x=x, hm=hm), float(lam))
+            ca = psi_columns(PsiField(x=x, hm=hm), [float(lam)])[0]
             assert abs(ca[0] - cb[0]) <= 1e-15
             assert abs(ca[1] - cb[1]) <= 1e-15
 
@@ -189,17 +183,17 @@ def test_repeated_lambda_is_marched_once(hm, monkeypatch):
 
 def test_cache_returns_the_stored_column(field0):
     # The cache holds psi11 alone; psi21 is formed from it on every read.
-    c1 = psi_column(field0, 1.25)
-    c2 = psi_column(field0, 1.25)
+    c1 = psi_columns(field0, [1.25])[0]
+    c2 = psi_columns(field0, [1.25])[0]
     assert c1.shape == (2,)
     assert np.array_equal(c1, c2) and field0.cache[1.25] == c1[0]
 
 
 def test_derivative_matches_finite_difference(field0):
     lam, h = 0.7, 1e-4
-    d1, d2 = psi_column_derivative(field0, lam)
-    hi = psi_column(field0, lam + h)
-    lo = psi_column(field0, lam - h)
+    d1, d2 = _lambda_derivative(field0, lam, *psi_columns(field0, [lam])[0])
+    hi = psi_columns(field0, [lam + h])[0]
+    lo = psi_columns(field0, [lam - h])[0]
     fd1 = (hi[0] - lo[0]) / (2 * h)
     fd2 = (hi[1] - lo[1]) / (2 * h)
     assert abs(d1 - fd1) <= 1e-6
@@ -209,17 +203,19 @@ def test_derivative_matches_finite_difference(field0):
 def test_derivative_closed_form_without_potential(free_hm):
     f = PsiField(x=2.0, hm=free_hm)
     lam = 1.1
-    d1, d2 = psi_column_derivative(f, lam)
+    d1, d2 = _lambda_derivative(f, lam, *psi_columns(f, [lam])[0])
     theta = (4.0 / 3.0) * lam**3 + 2.0 * lam
     want1 = -1j * (4.0 * lam**2 + 2.0) * np.exp(-1j * theta)
     assert abs(d1 - want1) <= 1e-8
-    # an array of lambdas gives the scalar results elementwise
+    # a batch of lambdas gives the one-lambda results elementwise, bit for bit
     lams = np.array([-2.5, -0.4, 0.0, lam, 3.0])
-    a1, a2 = psi_column_derivative(f, lams)
+    cols = psi_columns(f, lams)
+    a1, a2 = _lambda_derivative(f, lams, cols[:, 0], cols[:, 1])
     assert a1.shape == a2.shape == lams.shape
     for i, v in enumerate(lams):
-        s1, s2 = psi_column_derivative(f, float(v))
-        assert a1[i] == s1 and a2[i] == s2
+        one = np.array([v])
+        s1, s2 = _lambda_derivative(f, one, *psi_columns(f, one).T)
+        assert a1[i] == s1[0] and a2[i] == s2[0]
 
 
 def test_ray_routes_are_path_independent(hm):
@@ -267,13 +263,13 @@ def test_ray_leg_forms_its_steps_in_bounded_blocks(monkeypatch, free_hm):
     # its step matrices are formed a block at a time: memory stays bounded
     # at any R.
     sizes = []
-    matrix = gapdet.psi._lambda_matrix
+    matrix = oracles._lambda_matrix
 
     def recording(field_, lam):
         sizes.append(len(lam))
         return matrix(field_, lam)
 
-    monkeypatch.setattr(gapdet.psi, "_lambda_matrix", recording)
+    monkeypatch.setattr(oracles, "_lambda_matrix", recording)
     psi_column_ray(PsiField(x=0.0, hm=free_hm), 0.5, R=16.0)
     assert sum(sizes) > 20000 and max(sizes) <= 4096
 
@@ -281,7 +277,7 @@ def test_ray_leg_forms_its_steps_in_bounded_blocks(monkeypatch, free_hm):
 def test_ray_seed_bias_decays_quadratically(field0):
     # Against the production march the ray seed carries an O(1/R^2) error,
     # so doubling R should shrink the gap by about 4.
-    ref = psi_column(field0, 0.5)
+    ref = psi_columns(field0, [0.5])[0]
     errs = [abs(psi_column_ray(field0, 0.5, R=r)[0] - ref[0])
             for r in (4.0, 8.0, 16.0)]
     assert errs[0] > errs[1] > errs[2]
@@ -298,16 +294,16 @@ def test_large_x_columns_approach_free_phase(field8):
 
 def test_spectral_argument_range(field0):
     with pytest.raises(ValueError):
-        psi_column(field0, 4.0001)
+        psi_columns(field0, [4.0001])
     with pytest.raises(ValueError):
         psi_columns(field0, np.array([0.0, -4.2]))
-    psi_column(field0, 4.0)
-    psi_column(field0, -4.0)
+    psi_columns(field0, [4.0])
+    psi_columns(field0, [-4.0])
     # NaN compares False with everything, so it must fail the range check
     # rather than reach the march
     nan = float("nan")
     with pytest.raises(ValueError):
-        psi_column(field0, nan)
+        psi_columns(field0, [nan])
     with pytest.raises(ValueError):
         psi_columns(field0, np.array([0.0, nan]))
     with pytest.raises(ValueError):

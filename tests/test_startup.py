@@ -3,8 +3,7 @@
 The sine, cubic-sine and rank-structured kernels need numpy alone: Ai is
 a numpy trapezoid rule, the Hastings-McLeod solve sweeps its tridiagonal
 Newton systems in plain Python, and its profile is a numpy Hermite
-interpolant.  The lambda-ray cross-check route integrates its legs by a
-numpy Magnus method.  scipy is a test dependency only, for oracles.  Each
+interpolant.  scipy is a test dependency only, for oracles.  Each
 check runs in a fresh interpreter, so nothing an earlier test imported can
 hide a module-level import.
 """
@@ -58,10 +57,4 @@ def test_hastings_mcleod_solve_loads_no_scipy():
 ])
 def test_pii_request_loads_no_scipy(argv):
     code = f"from gapdet import cli\nassert cli.main({argv!r}) == 0"
-    assert _loaded_after(code) == []
-
-
-def test_ray_route_loads_no_scipy():
-    # one lambda keeps the probe cheap
-    code = "import gapdet\ngapdet.psi_column_ray(gapdet.PsiField(x=0.0, hm=gapdet.solve_hm()), 0.5)"
     assert _loaded_after(code) == []
