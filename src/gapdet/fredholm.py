@@ -3,33 +3,45 @@ elimination, and its two logarithmic derivatives.
 
 The discretization is the standard symmetrized one: with Gauss-Legendre
 nodes and weights scaled to the interval, M[i][j] = delta_ij -
-sqrt(w_i w_j) K(x_i, x_j).  The matrix is assembled in binary64 (the kernel
-itself is only good to ~1e-9 anyway) and eliminated in double-double.  That
-buys no accuracy: even at log det ~ -62 the smallest pivot is moderate (0.56
-for PII at x = 1, s = 2, n = 256), so the binary64 assembly sets the error.
-A correlation kernel has 0 <= K < I, so a resolved M is positive definite,
-and a rung whose M is not is refused as under-resolved.  The double-double
-LDL^T stays until a binary64 factorization, trusted by the conditioning of
-I - K, replaces it; log det leaves it as the binary64 sum of its two
-words, and the ladder's gap is a binary64 difference.
+sqrt(w_i w_j) K(x_i, x_j).  The nodes are mirrored, x_{n-1-i} = -x_i, and
+every kernel here is even, K(-a, -b) = K(a, b), so M is centrosymmetric:
+on the even and on the odd vectors it acts as two blocks of order n/2
+(``_fold``; (n + 1)/2 and (n - 1)/2 for odd n), and det M = det(even)
+det(odd), the even/odd split of the sine-kernel determinant (Gaudin
+1961).  So every rung eliminates two
+half-size blocks, a quarter of the work of eliminating M, and a PII rung
+marches its columns at the non-negative nodes only.  M is assembled in
+binary64 (the kernel itself is only good to ~1e-9 anyway), folded, and
+the blocks are eliminated in double-double.  That buys no accuracy: even
+at log det ~ -62 the smallest pivot is moderate (0.56 for PII at x = 1,
+s = 2, n = 256), so the binary64 assembly sets the error.  A correlation
+kernel has 0 <= K < I, so a resolved M, and with it each block, is
+positive definite, and a rung with a block that is not is refused as
+under-resolved.  The double-double LDL^T stays until a binary64
+factorization, trusted by the conditioning of I - K, replaces it; log det
+is the binary64 sum of the two words of each block's log det, and the
+ladder's gap is a binary64 difference.
 
-The slopes need no determinant, only one binary64 solve with the same M
-per rung, refused as the determinant's rung is when a binary64 Cholesky
-factorization finds M not positive definite (Tracy and Widom 1994;
-Bornemann 2010):
+The slopes need no determinant, only binary64 solves with the same two
+blocks per rung, refused as the determinant's rung is when a binary64
+Cholesky factorization finds a block not positive definite (Tracy and
+Widom 1994; Bornemann 2010):
 
-    d/ds log det = -(R(s, s) + R(-s, -s)),   R = K (I - K)^-1 the resolvent,
-    d/dx log det = -tr((I - K)^-1 dK/dx).
+    d/ds log det = -(R(s, s) + R(-s, -s)) = -2 R(s, s),
+    d/dx log det = -tr((I - K)^-1 dK/dx),
 
-R(y, y) = K(y, y) + b^T M^-1 b with b_i = sqrt(w_i) K(x_i, y), and the
-trace is tr(M^-1 W^1/2 dK/dx W^1/2).  They run on the determinant's
-ladder, whose gap test for a slope is relative: successive rungs agree
-within 1e-8 max(1, |slope|), which at |d/ds| = 162 (PII, x = 1, s = 2) is
-the rounding floor of the solve.
+R = K (I - K)^-1 the resolvent, even as K is.  R(s, s) = K(s, s) +
+b^T M^-1 b with b_i = sqrt(w_i) K(x_i, s), whose even and odd parts meet
+their own block's solve, and the trace is tr(M^-1 W^1/2 dK/dx W^1/2), with
+W^1/2 dK/dx W^1/2 folded as M is.  They run on the determinant's ladder,
+whose gap test for a slope is relative: successive rungs agree within
+1e-8 max(1, |slope|), which at |d/ds| = 162 (PII, x = 1, s = 2) is the
+rounding floor of the solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +62,7 @@ __all__ = [
 _N_MIN, _N_MAX = 8, 400
 _LADDER = (32, 64, 128, 256)  # doubling from 32 up to the order cap
 _LADDER_TOL = 1e-8
+_BLOCKS = ("even", "odd")  # the two blocks of ``_fold``, in its order
 
 
 class DetIntegrityError(RuntimeError):
@@ -76,8 +89,9 @@ def _s_cap(spec: KernelSpec) -> float:
     the plain sine kernel, whose log det decays slowly (~ -(xs)^2/2), and
     2.4 for the cubic-phase and rank-structured kernels.  It is not set by a
     precision floor of the elimination: at s = 2.4, n = 256 the smallest
-    LDL^T pivot of I - K is 0.21 for PII(x=1), 0.36 for PII(x=-1) and 0.21
-    for CubicSine(1, 1), at log det -165, -98 and -165.
+    LDL^T pivot of the two folded blocks of I - K is 0.213 for PII(x=1),
+    0.358 for PII(x=-1) and 0.213 for CubicSine(1, 1) (0.208, 0.358 and
+    0.208 for I - K eliminated whole), at log det -165, -98 and -165.
     """
     if isinstance(spec, Sine) or (isinstance(spec, CubicSine) and spec.t == 0.0):
         return 8.0
@@ -90,9 +104,48 @@ def _check_s(spec: KernelSpec, s: float):
         raise ValueError(f"s = {s} outside [0, {cap}] for {type(spec).__name__}")
 
 
+def _fold(a: np.ndarray) -> tuple:
+    """The even and odd blocks of a symmetric, centrosymmetric order-n
+    matrix on mirrored nodes, whose determinants multiply to its own.
+
+    They are A in the orthonormal bases (e_i +- e_-i)/sqrt(2) of the even
+    and the odd vectors.  With A++ the rows and columns of the positive
+    nodes, A+- those rows against the negative nodes and J the reversal of
+    node order, even = A++ + A+- J and odd = A++ - A+- J: one binary64
+    addition per entry, so their diagonals keep A's roundings.  For odd n
+    the middle node (0) leads the even block, its cross entries times
+    sqrt(2).  Both blocks are exactly symmetric when A is exactly
+    centrosymmetric off its diagonal.
+    """
+    n = len(a)
+    h = n // 2
+    top, cross = a[n - h:, n - h:], a[n - h:, h - 1::-1]
+    even, odd = top + cross, top - cross
+    if n % 2:
+        edge = math.sqrt(2.0) * a[h, n - h:]
+        even = np.block([[a[h, h], edge], [edge[:, None], even]])
+    return even, odd
+
+
+def _fold_rows(v: np.ndarray) -> tuple:
+    """The even and odd parts of a vector on mirrored nodes, v+ +- J v-,
+    an odd n's middle entry times sqrt(2) leading the even part: sqrt(2)
+    times v in the bases of ``_fold``, so v^T A^-1 v is half the sum over
+    the two blocks of part^T block^-1 part."""
+    n = len(v)
+    h = n // 2
+    top, cross = v[n - h:], v[h - 1::-1]
+    even, odd = top + cross, top - cross
+    if n % 2:
+        even = np.concatenate([[math.sqrt(2.0) * v[h]], even])
+    return even, odd
+
+
 def _nystrom(spec: KernelSpec, s: float, n: int, extra=()) -> tuple:
     """(M, nodes, sqrt(w), K) of the order-n rung on (-s, s), with K on the
-    nodes and then the ``extra`` points, M = I - W^1/2 K W^1/2 on the nodes."""
+    nodes and then the ``extra`` points, M = I - W^1/2 K W^1/2 on the nodes.
+    The nodes are mirrored and every kernel is even, so M is centrosymmetric
+    and ``_fold`` splits it."""
     rule = gauss_legendre(n)
     xi, sq = s * rule.nodes_f8, np.sqrt(s * rule.weights_f8)
     k = kernel_matrix(spec, np.concatenate([xi, extra]) if len(extra) else xi)
@@ -100,24 +153,37 @@ def _nystrom(spec: KernelSpec, s: float, n: int, extra=()) -> tuple:
 
 
 def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
-    """log det(I - K) on (-s, s) at a fixed quadrature order."""
+    """log det(I - K) on (-s, s) at a fixed quadrature order.
+
+    M is eliminated as the two blocks of ``_fold``: log det is the sum of
+    theirs, and ``pivot_min`` the smaller of their smallest pivots, which
+    is never below the smallest eigenvalue of M.  A block that is not
+    positive definite raises DetIntegrityError naming the block and the
+    elimination step.
+    """
     if not _N_MIN <= n <= _N_MAX:
         raise ValueError(f"n = {n} outside [{_N_MIN}, {_N_MAX}]")
     _check_s(spec, s)
     if s == 0.0:
         return DetEvaluation(spec, s, n, 0.0, 1.0, True)
 
-    # only M is kept: K is freed before the elimination
-    try:
-        res = log_det_lu(_nystrom(spec, s, n)[0])
-    except NotPositiveDefiniteError as e:
-        raise DetIntegrityError(f"I - K not positive definite at s = {s}, n = {n}: {e}") from None
-    value = res.log_abs_det[0] + res.log_abs_det[1]
+    # only the two blocks are kept: K and M are freed before the elimination
+    blocks = _fold(_nystrom(spec, s, n)[0])
+    value, pivot_min = 0.0, math.inf
+    for name, block in zip(_BLOCKS, blocks):
+        try:
+            res = log_det_lu(block)
+        except NotPositiveDefiniteError as e:
+            raise DetIntegrityError(
+                f"I - K not positive definite at s = {s}, n = {n}: {name} block, {e}"
+            ) from None
+        value += res.log_abs_det[0] + res.log_abs_det[1]
+        pivot_min = min(pivot_min, res.pivot_min)
     if not value <= 0.0:
         raise DetIntegrityError(
             f"det(I - K) outside (0, 1]: log det {value:.6g} at s = {s}, n = {n}"
         )
-    return DetEvaluation(spec, s, n, value, res.pivot_min, False)
+    return DetEvaluation(spec, s, n, value, pivot_min, False)
 
 
 def _ladder(spec: KernelSpec, s: float, rung, agree, extra=()):
@@ -129,12 +195,12 @@ def _ladder(spec: KernelSpec, s: float, rung, agree, extra=()):
     converged = False when agreement was not reached.  A rung below the top
     that raises DetIntegrityError is under-resolved and skipped: the gap
     is only taken between two successive rungs that both hold, and a
-    failure at the top rung propagates.  For a PII spec the nodes of the
-    first two rungs, which the first gap compares, are marched in one
-    batch before the first rung, together with any ``extra`` points the
-    rung samples the kernel at; a higher rung's assembly marches its own
-    nodes when the ladder reaches it.  The field's column cache is emptied
-    first: its keys are s * node, which no ladder at another s asks for,
+    failure at the top rung propagates.  For a PII spec the non-negative
+    nodes of the first two rungs, which the first gap compares, are marched
+    in one batch before the first rung, together with any ``extra`` points
+    the rung samples the kernel at; a higher rung's assembly marches its
+    own when the ladder reaches it.  The field's column cache is emptied
+    first: its keys are s * |node|, which no ladder at another s asks for,
     so a field shared across s holds one ladder's columns at a time.
     """
     _check_s(spec, s)
@@ -175,47 +241,58 @@ def _slope_agree(val: float, prev: float) -> bool:
     return abs(val - prev) <= _LADDER_TOL * max(1.0, abs(val))
 
 
-def _solve(m: np.ndarray, rhs: np.ndarray, s: float, n: int) -> np.ndarray:
-    """M^-1 rhs in binary64, or DetIntegrityError when I - K is singular,
-    the solution is not finite, or I - K is not positive definite (its
-    binary64 Cholesky factorization fails), the rung ``log_det`` refuses."""
+def _solve(m: np.ndarray, rhs: np.ndarray, s: float, n: int, name: str) -> np.ndarray:
+    """m^-1 rhs in binary64 for the ``name`` block of M, or DetIntegrityError
+    when the block is singular, the solution is not finite, or the block is
+    not positive definite (its binary64 Cholesky factorization fails), the
+    rung ``log_det`` refuses."""
     try:
         sol = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as e:
-        raise DetIntegrityError(f"I - K not solvable at s = {s}, n = {n}: {e}") from None
+        raise DetIntegrityError(
+            f"I - K not solvable at s = {s}, n = {n}: {name} block, {e}"
+        ) from None
     if not np.isfinite(sol).all():
-        raise DetIntegrityError(f"I - K solve not finite at s = {s}, n = {n}")
+        raise DetIntegrityError(f"I - K solve not finite at s = {s}, n = {n}: {name} block")
     try:
         np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        raise DetIntegrityError(f"I - K not positive definite at s = {s}, n = {n}") from None
+        raise DetIntegrityError(
+            f"I - K not positive definite at s = {s}, n = {n}: {name} block"
+        ) from None
     return sol
 
 
 def _ds_rung(spec: KernelSpec, s: float, n: int) -> float:
-    """-(R(s, s) + R(-s, -s)) at order n, with R(y, y) = K(y, y) + b^T M^-1 b,
-    b = W^1/2 K(x., y), from one kernel assembly on the nodes and +-s."""
-    m, _, sq, k = _nystrom(spec, s, n, extra=[s, -s])
-    b = sq[:, None] * k[:n, n:]
-    r = np.diagonal(k[n:, n:]) + np.einsum("ij,ij->j", b, _solve(m, b, s, n))
-    return -float(r[0] + r[1])
+    """-2 R(s, s) at order n, with R(s, s) = K(s, s) + b^T M^-1 b,
+    b = W^1/2 K(x., s), from one kernel assembly on the nodes and s; the
+    kernel is even, so R(-s, -s) = R(s, s).  2 b^T M^-1 b is the sum over
+    the two blocks of ``_fold`` of each folded part of b (``_fold_rows``)
+    against its block's solve."""
+    m, _, sq, k = _nystrom(spec, s, n, extra=[s])
+    quad = sum(float(b @ _solve(block, b, s, n, name))
+               for name, block, b in zip(_BLOCKS, _fold(m), _fold_rows(sq * k[:n, n])))
+    return -(2.0 * float(k[n, n]) + quad)
 
 
 def _dx_rung(spec: KernelSpec, s: float, n: int) -> float:
-    """-tr(M^-1 W^1/2 dK/dx W^1/2) at order n."""
+    """-tr(M^-1 W^1/2 dK/dx W^1/2) at order n, summed over the blocks of
+    ``_fold``: dK/dx is even too, so it folds as M does."""
     m, xi, sq, _ = _nystrom(spec, s, n)
-    w = sq[:, None] * sq[None, :]
-    return -float(np.trace(_solve(m, w * kernel_dx_matrix(spec, xi), s, n)))
+    d = _fold((sq[:, None] * sq[None, :]) * kernel_dx_matrix(spec, xi))
+    return -sum(float(np.trace(_solve(block, rhs, s, n, name)))
+                for name, block, rhs in zip(_BLOCKS, _fold(m), d))
 
 
 def dlogdet_ds(spec: KernelSpec, s: float) -> float:
-    """d/ds log det(I - K) = -(R(s, s) + R(-s, -s)), R the resolvent kernel.
+    """d/ds log det(I - K) = -(R(s, s) + R(-s, -s)) = -2 R(s, s), R the
+    resolvent kernel.
 
-    Each rung is one binary64 solve with the Nystrom matrix of ``log_det``;
+    Each rung is one binary64 solve with each folded block of ``log_det``;
     the ladder stops when successive rungs agree within 1e-8 relative to
     max(1, |slope|).  At s = 0 this is -2 K(0, 0).
     """
-    return _ladder(spec, s, _ds_rung, _slope_agree, extra=(s, -s))[0]
+    return _ladder(spec, s, _ds_rung, _slope_agree, extra=(s,))[0]
 
 
 def dlogdet_dx(spec: KernelSpec, s: float) -> float:

@@ -28,6 +28,14 @@ numerically:
   numerator and denominator arrays, and the matrix is exactly symmetric.
   A value that is not finite (a NaN column, say) raises
   KernelIntegrityError rather than reaching the elimination.
+
+* Every kernel is even, K(-lambda, -mu) = K(lambda, mu), and on mirrored
+  points the matrix is exactly centrosymmetric, which the determinant's
+  even/odd fold needs.  The trig phase is built from lambda^2, mu^2,
+  lambda mu and |lambda - mu|, which a sign flip of both leaves bit for
+  bit; the column-based kernel reads psi11(-lambda) as the exact
+  conjugate of the cached psi11(|lambda|), which flips the sign of its
+  numerator and of lambda - mu together.
 """
 
 from __future__ import annotations
@@ -123,7 +131,7 @@ def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
     """K sampled on points x points, vectorized, exactly symmetric.
 
     The column-based variant reads its columns through ``psi_columns``,
-    which marches the uncached ones in one batch; inside a ladder the first
+    which marches the uncached |lambda| in one batch; inside a ladder the first
     two rungs' nodes are already cached, and a higher rung's are marched
     here.  Off-diagonal pairs closer than the switch radius take the
     diagonal value at their midpoint, and all those midpoints are marched

@@ -26,7 +26,10 @@ so each transfer matrix is [[p, q], [conj q, conj p]] with unit
 determinant |p|^2 - |q|^2, and the march carries only (p, q).  The
 column it gives is psi11 alone: for real lambda the Lax pair makes
 psi21 = -i conj(psi11), and ``psi_columns`` forms psi21 that way, so the
-pairing, and with it a real kernel, holds by construction.
+pairing, and with it a real kernel, holds by construction.  For real
+lambda, U(-lambda) = sigma3 conj(U(lambda)) sigma3 and the seed maps the
+same way, so psi11(-lambda) = conj psi11(lambda): only |lambda| is
+marched, and the kernel is even.
 The march is not neutrally stable.  Where u^2 > lambda^2, U has the real
 eigenvalues +-sqrt(u^2 - lambda^2), so the transfer matrix grows as the
 march goes left, and so does the rounding of every step it carries.  Each
@@ -69,8 +72,9 @@ class PsiField:
     """Evaluation context: the parameter x, the potential, and a column cache.
 
     ``hm`` is the Hastings-McLeod solution that gives the potential u.  The
-    cache maps exact binary64 lambdas to psi11; it starts empty and is not a
-    constructor argument.  ``tol`` is the column accuracy the march aims at:
+    cache maps exact binary64 |lambda| to psi11, so lambda and -lambda
+    march once (``psi_columns``); it starts empty and is not a constructor
+    argument.  ``tol`` is the column accuracy the march aims at:
     it sets the step of the Magnus grid, which scales as tol^(1/6).  It must
     be at least 1e-15: below that a tenfold step moves psi11 at x = -4 by
     3e-14 to 4e-14, its rounding wander, while the grid keeps growing as
@@ -80,7 +84,7 @@ class PsiField:
     marched it.  A fresh field given the same requests reproduces every
     value bit for bit, which is why the CLI gives each row its own.  The
     cache lives for one ladder: a PII ladder empties it before its first
-    march, since its keys (s * node) are not asked for at any other s.  x
+    march, since its keys (s * |node|) are not asked for at any other s.  x
     must lie in the solved window and be at least -10, even on a wider
     window: further left the march loses |p|^2 - |q|^2 = 1 at order 1.
     """
@@ -237,27 +241,35 @@ def psi_columns(field_: PsiField, lams) -> np.ndarray:
     """Columns at many lambdas, marched together and cached.
 
     Returns a complex array of shape (m, 2) whose rows are [psi11, psi21];
-    an empty request gives shape (0, 2).  ``field_.cache`` maps each exact
-    lambda to psi11 alone; psi21 = -i conj(psi11), the Lax pair's pairing
-    for real lambda, is formed from it on every read.
+    an empty request gives shape (0, 2).  Only |lambda| is marched: the
+    system at -lambda is the conjugate of the one at lambda, up to the
+    sign of the second component, so psi11(-lambda) = conj psi11(lambda)
+    for real lambda, and a lambda and its negative march once.
+    ``field_.cache`` maps each exact |lambda| to psi11 alone, and a
+    negative lambda reads the conjugate of its entry; psi21 = -i
+    conj(psi11), the Lax pair's pairing for real lambda, is formed on
+    every read.  So the kernel on mirrored nodes is exactly even.
 
     The field's one Magnus grid serves every batch and the work of each
     step is vectorised over lambdas, so much of a march's cost is per
-    batch: at x = 0 one lambda takes about 2.5 ms and 96 take about 6 ms.
-    So ``log_det_converged`` marches
-    the nodes of a PII ladder's first two rungs in one call up front, and
-    a higher rung's ``kernel_matrix`` marches its nodes here, in one batch,
-    when the ladder reaches it.  A repeated lambda is marched once.
+    batch: at x = 0 one lambda takes about 2.5 ms and 48 take about 4 ms.
+    So ``log_det_converged`` marches the 48 non-negative nodes of a PII
+    ladder's first two rungs in one call up front, and a higher rung's
+    ``kernel_matrix`` marches its own here, in one batch, when the ladder
+    reaches it.  A repeated |lambda| is marched once.
     """
-    lams = [float(v) for v in _check_lams(lams)]
-    missing = list(dict.fromkeys(lam for lam in lams if lam not in field_.cache))
+    lams = _check_lams(lams)
+    mags = np.abs(lams).tolist()
+    missing = list(dict.fromkeys(lam for lam in mags if lam not in field_.cache))
     if missing:
         grid = np.array(missing)
         p, q = _march(field_, grid)
         cubic = np.exp(1j * ((4.0 / 3.0) * grid ** 3))
         psi11 = (p * np.conj(cubic) - 1j * (q * cubic)) * np.exp(-1j * (field_.x * grid))
         field_.cache.update(zip(missing, psi11.tolist()))
-    psi11 = np.array([field_.cache[lam] for lam in lams], dtype=complex)
+    psi11 = np.array([field_.cache[lam] for lam in mags], dtype=complex)
+    neg = lams < 0.0
+    psi11[neg] = np.conj(psi11[neg])
     return np.stack([psi11, -1j * np.conj(psi11)], axis=1)
 
 

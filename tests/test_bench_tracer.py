@@ -27,9 +27,11 @@ def test_tracer_names_resolve_on_gapdet():
 
 def test_tracer_counts_a_pii_ladder(hm):
     # The tracer reads the column cache and psi_columns' return value; a
-    # ladder at (x, s) = (0, 1.0) stops at n = 64 after marching its first
-    # two rungs' 96 nodes up front and asking for them again per rung.  The
-    # ladder is looked up on its module after install, as the benchmark does.
+    # ladder at (x, s) = (0, 1.0) stops at n = 64 after marching the 48
+    # non-negative nodes of its first two rungs up front and asking for all
+    # 96 nodes again per rung, and it eliminates each rung as two half-size
+    # blocks.  The ladder is looked up on its module after install, as the
+    # benchmark does.
     tracer_mod = _load_tracer()
     from gapdet import PII, PsiField, fredholm
 
@@ -42,17 +44,17 @@ def test_tracer_counts_a_pii_ladder(hm):
         tracer.uninstall()
     m = {k: v for k, (v, _) in tracer_mod.layer_metrics(tracer).items()}
     assert m["psi.lambdas_requested"] == 192
-    assert m["psi.lambdas_marched"] == 96
+    assert m["psi.lambdas_marched"] == 48
     assert m["fredholm.log_det.calls"] == 2
-    assert m["mpnum.log_det_lu.n3_sum"] == 32 ** 3 + 64 ** 3
+    assert m["mpnum.log_det_lu.n3_sum"] == 2 * 16 ** 3 + 2 * 32 ** 3
 
 
 def test_tracer_counts_ladders_on_a_shared_field(hm):
     # A ladder empties its field's cache before its first march, and the
     # tracer counts marched columns as the cache's growth over each
     # psi_columns call, so two ladders on one field count what they count
-    # on fresh fields: 96 columns at s = 1.8 (n = 64), 224 at s = 2.0
-    # (n = 128).
+    # on fresh fields: 48 columns at s = 1.8 (n = 64), 112 at s = 2.0
+    # (n = 128), one per non-negative node.
     tracer_mod = _load_tracer()
     from gapdet import PII, PsiField, fredholm
 
@@ -68,6 +70,6 @@ def test_tracer_counts_ladders_on_a_shared_field(hm):
         return tracer_mod.layer_metrics(tracer)["psi.lambdas_marched"][0]
 
     fresh = [marched([(PsiField(x=1.0, hm=hm), s)]) for s in (1.8, 2.0)]
-    assert fresh == [96, 224]
+    assert fresh == [48, 112]
     shared = PsiField(x=1.0, hm=hm)
     assert marched([(shared, 1.8), (shared, 2.0)]) == sum(fresh)

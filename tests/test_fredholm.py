@@ -23,7 +23,7 @@ from gapdet import (
     log_det,
     log_det_converged,
 )
-from gapdet.mpnum import LogDetResult
+from gapdet.mpnum import LogDetResult, log_det_lu
 
 
 def test_empty_interval_is_exact():
@@ -105,7 +105,9 @@ def test_zero_t_determinants_match_sine_bitwise():
 
 def test_top_rung_peak_memory_stays_small():
     # Assembly and elimination at n = 256 hold a few n x n arrays (0.5 MB
-    # each) at a time; the whole-matrix update held about 7.3 MB.
+    # each) at a time, and the elimination only two n/2 x n/2 blocks: the
+    # peak is about 1.78 MB (2.74 MB when M was eliminated whole, and
+    # about 7.3 MB with a whole-matrix update).
     spec, s = CubicSine(t=0.929, x=1.607), 2.074
     log_det(spec, s, 256)                       # build the rule outside the window
     tracemalloc.start()
@@ -114,13 +116,45 @@ def test_top_rung_peak_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4e6
+    assert peak <= 2.5e6
+
+
+def _unfolded_log_det(spec, s, n):
+    # log det of M = I - W^1/2 K W^1/2 eliminated whole, without the
+    # even/odd split, and the smallest eigenvalue of M
+    rule = gauss_legendre(n)
+    sq = np.sqrt(s * rule.weights_f8)
+    m = np.eye(n) - (sq[:, None] * sq[None, :]) * kernel_matrix(spec, s * rule.nodes_f8)
+    res = log_det_lu(m)
+    return res.log_abs_det[0] + res.log_abs_det[1], np.linalg.eigvalsh(m)[0]
+
+
+def test_folded_blocks_give_the_whole_matrix_determinant(hm):
+    # det M = det(even block) det(odd block) exactly; the two eliminations
+    # round differently from one of the whole M, by at most 1.5e-12
+    # relative here, odd n (the middle node in the even block) included.
+    # The folded pivots are the blocks' own, so pivot_min stays positive
+    # and never below lambda_min(M).
+    cases = ((Sine(x=1.0), 5.0), (CubicSine(t=1.0, x=1.0), 2.0),
+             (PII(x=1.0, field=PsiField(x=1.0, hm=hm)), 2.0))
+    for spec, s in cases:
+        for n in (33, 48, 49, 64, 65, 128):
+            ev = log_det(spec, s, n)
+            want, lam_min = _unfolded_log_det(spec, s, n)
+            assert abs(ev.log_det - want) <= 2e-12 * abs(want)
+            assert 0.0 < lam_min <= ev.pivot_min * (1.0 + 1e-12)
+    # log det -5.1e-11, where the ladder's oracle test holds 1e-8 relative
+    spec = PII(x=-8.0, field=PsiField(x=-8.0, hm=hm))
+    for n in (33, 48, 49, 64, 65, 128):
+        want, _ = _unfolded_log_det(spec, 0.5, n)
+        assert abs(log_det(spec, 0.5, n).log_det - want) <= 1e-8 * abs(want)
 
 
 def test_pii_ladder_marches_each_rung_when_it_reaches_it(hm, monkeypatch):
     # The first two rungs, which the first gap compares, are marched in one
     # batch before the first rung; a higher rung is marched, in one batch,
-    # only when the ladder reaches it.
+    # only when the ladder reaches it.  Only the non-negative nodes march:
+    # a negative node reads the conjugate of its mirror's column.
     marches = []
     march = gapdet.psi._march
 
@@ -131,11 +165,11 @@ def test_pii_ladder_marches_each_rung_when_it_reaches_it(hm, monkeypatch):
     monkeypatch.setattr(gapdet.psi, "_march", counting)
     f = PsiField(x=0.0, hm=hm)
     assert log_det_converged(PII(x=0.0, field=f), 1.0).n == 64
-    assert marches == [32 + 64]
-    assert len(f.cache) == 96
+    assert marches == [16 + 32]
+    assert len(f.cache) == 48
     marches.clear()
     assert log_det_converged(PII(x=1.0, field=PsiField(x=1.0, hm=hm)), 2.0).n == 128
-    assert marches == [32 + 64, 128]
+    assert marches == [16 + 32, 64]
     # s is checked before anything is marched
     marches.clear()
     with pytest.raises(ValueError):
@@ -157,12 +191,13 @@ def test_a_field_shared_across_s_gives_the_fresh_field_values(hm):
 
 def test_a_field_shared_across_s_holds_one_ladders_columns(hm):
     # No ladder reads another s's columns, so each starts on an empty cache:
-    # after a sweep over seven s the field holds at most the 224 columns of
-    # a ladder that stops at n = 128, not the sum over the sweep.
+    # after a sweep over seven s the field holds at most the 112 columns of
+    # a ladder that stops at n = 128 (its non-negative nodes), not the sum
+    # over the sweep.
     shared = PsiField(x=1.0, hm=hm)
     for s in (1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0):
         log_det_converged(PII(x=1.0, field=shared), s)
-        assert len(shared.cache) <= 224
+        assert len(shared.cache) <= 112
 
 
 def test_march_tolerance_bias_is_below_the_ladder_floor(hm):
@@ -188,18 +223,19 @@ def test_pii_ladders_converge(hm):
 def test_pii_ladder_against_the_shooting_oracle(hm, shooting_hm, dop853_columns):
     # The oracle shares only the kernel assembly and the elimination with
     # the ladder: it runs at n = 256 on the DOP853 shooting profile, with
-    # DOP853 columns put straight into its field's cache.  At (1, 2.0) the
+    # DOP853 columns at the non-negative nodes put straight into its field's
+    # cache (a negative node reads its mirror's conjugate).  At (1, 2.0) the
     # n = 256 value itself wanders by ~3e-8 with the march tol, the floor
     # of the binary64 assembly, hence the looser bound there.
     errors = {}
     for x, s in ((0.0, 1.0), (0.0, 1.8), (1.0, 2.0), (-1.0, 2.0)):
         ev = log_det_converged(PII(x=x, field=PsiField(x=x, hm=hm)), s)
         oracle = PsiField(x=x, hm=shooting_hm)
-        lams = s * gauss_legendre(256).nodes_f8
+        lams = s * gauss_legendre(256).nodes_f8[128:]
         psi11 = dop853_columns(oracle, lams)[0]
         oracle.cache.update(zip(lams.tolist(), psi11))
         want = log_det(PII(x=x, field=oracle), s, 256)
-        assert len(oracle.cache) == 256
+        assert len(oracle.cache) == 128
         errors[x, s] = abs(float(ev.log_det) - float(want.log_det))
     assert errors[0.0, 1.0] <= 1e-8
     assert errors[0.0, 1.8] <= 2e-10
@@ -210,20 +246,21 @@ def test_pii_ladder_against_the_shooting_oracle(hm, shooting_hm, dop853_columns)
 def test_pii_ladders_left_of_x_minus_5_against_dop853_columns(hm, dop853_columns):
     # Left of x = -5 the march carries a decaying column while its transfer
     # matrix grows, so psi_det drifts from 1 (1.7e-9 at x = -7).  What that
-    # costs a ladder is measured here at its own n, with DOP853 columns put
-    # into a fresh field's cache on the same profile: 6.6e-12 at (-4, 2.0),
-    # 1.6e-11 at (-6, 2.0), 4.7e-11 at (-8, 2.4), and 4.9e-25 at (-8, 0.5),
-    # where log det is -5.1e-11, hence a relative bound there.
+    # costs a ladder is measured here at its own n, with DOP853 columns at
+    # the non-negative nodes put into a fresh field's cache on the same
+    # profile: 6.6e-12 at (-4, 2.0), 1.6e-11 at (-6, 2.0), 4.7e-11 at
+    # (-8, 2.4), and 4.9e-25 at (-8, 0.5), where log det is -5.1e-11, hence
+    # a relative bound there.
     errors, wants = {}, {}
     for x, s in ((-4.0, 2.0), (-6.0, 2.0), (-8.0, 2.4), (-8.0, 0.5)):
         ev = log_det_converged(PII(x=x, field=PsiField(x=x, hm=hm)), s)
         assert ev.converged
         oracle = PsiField(x=x, hm=hm)
-        lams = s * gauss_legendre(ev.n).nodes_f8
+        lams = s * gauss_legendre(ev.n).nodes_f8[ev.n // 2:]
         psi11 = dop853_columns(oracle, lams)[0]
         oracle.cache.update(zip(lams.tolist(), psi11))
         wants[x, s] = log_det(PII(x=x, field=oracle), s, ev.n).log_det
-        assert len(oracle.cache) == ev.n
+        assert len(oracle.cache) == ev.n // 2
         errors[x, s] = abs(ev.log_det - wants[x, s])
     assert errors[-4.0, 2.0] <= 1e-9
     assert errors[-6.0, 2.0] <= 1e-9
@@ -241,7 +278,8 @@ def test_pii_ladder_eliminates_only_the_rungs_it_needs(hm, monkeypatch):
 
     monkeypatch.setattr(gapdet.fredholm, "log_det_lu", recording)
     log_det_converged(PII(x=0.0, field=PsiField(x=0.0, hm=hm)), 1.8)
-    assert sizes == [32, 64]
+    # each rung is eliminated as its even and odd blocks
+    assert sizes == [16, 16, 32, 32]
 
 
 def test_trust_band_edge_still_converges_for_trig():
@@ -251,29 +289,61 @@ def test_trust_band_edge_still_converges_for_trig():
 
 def test_indefinite_rungs_are_refused(hm):
     # At s = 2.4 the n = 32 rungs are under-resolved and their M has a
-    # negative eigenvalue (-9.8e-7, -6.7e-8 and -9.8e-7): the elimination
-    # stops at it, and the ladder skips the rung like any other that fails
+    # negative eigenvalue (-9.8e-7, -6.7e-8 and -9.8e-7), in both of its
+    # folded blocks: the elimination of the even block stops at its 12th
+    # pivot, the error names the block and the step, and the ladder skips
+    # the rung like any other that fails
     specs = (CubicSine(t=1.0, x=1.0), PII(x=0.0, field=PsiField(x=0.0, hm=hm)),
              PII(x=1.0, field=PsiField(x=1.0, hm=hm)))
     for spec in specs:
-        with pytest.raises(DetIntegrityError, match="not positive definite"):
+        with pytest.raises(DetIntegrityError, match="not positive definite at s = 2.4, n = 32: "
+                           "even block, pivot not positive at elimination step 11"):
             log_det(spec, 2.4, 32)
     ev = log_det_converged(specs[0], 2.4)
     assert ev.n == 256 and not ev.converged
     assert ev.log_det == log_det(specs[0], 2.4, 256).log_det
 
 
-def test_indefinite_slope_rungs_are_refused(hm):
-    # The slopes' binary64 solve is gated by a Cholesky factorization, so
-    # the rungs the determinant refuses give no slope either; the solve
-    # alone returns d/ds -305.65 and d/dx -26.19 for CubicSine(1, 1) there,
-    # against -376.50 and -38.96 at n = 64
+def _recorded_rungs(mp, name):
+    """Wrap the rung a ladder calls by its module name and return the list
+    of (n, refused) pairs it records, in ladder order."""
+    seen = []
+    real = getattr(gapdet.fredholm, name)
+
+    def recording(spec, s, n):
+        try:
+            val = real(spec, s, n)
+        except DetIntegrityError:
+            seen.append((n, True))
+            raise
+        seen.append((n, False))
+        return val
+
+    mp.setattr(gapdet.fredholm, name, recording)
+    return seen
+
+
+def test_indefinite_slope_rungs_are_refused(hm, monkeypatch):
+    # The slopes' binary64 solves are gated by a Cholesky factorization of
+    # each folded block, so the rungs the determinant refuses give no slope
+    # either; the solve alone returns d/ds -305.65 and d/dx -26.19 for
+    # CubicSine(1, 1) there, against -376.50 and -38.96 at n = 64.  The
+    # determinant ladder and both slope ladders skip the n = 32 rung and
+    # refuse no other.
     specs = (CubicSine(t=1.0, x=1.0), PII(x=0.0, field=PsiField(x=0.0, hm=hm)),
              PII(x=1.0, field=PsiField(x=1.0, hm=hm)))
     for spec in specs:
         for rung in (gapdet.fredholm._ds_rung, gapdet.fredholm._dx_rung):
-            with pytest.raises(DetIntegrityError, match="not positive definite"):
+            with pytest.raises(DetIntegrityError,
+                               match="not positive definite at s = 2.4, n = 32: even block"):
                 rung(spec, 2.4, 32)
+        for name, ladder in (("log_det", log_det_converged), ("_ds_rung", dlogdet_ds),
+                             ("_dx_rung", dlogdet_dx)):
+            with monkeypatch.context() as mp:
+                seen = _recorded_rungs(mp, name)
+                ladder(spec, 2.4)
+            assert seen[0] == (32, True) and len(seen) >= 3
+            assert not any(refused for _, refused in seen[1:])
 
 
 def test_beyond_the_trust_band_fails_loudly_or_flags():

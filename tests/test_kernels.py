@@ -55,6 +55,20 @@ def test_kernels_are_symmetric_bitwise():
             assert entry(spec, a, b) == entry(spec, b, a)
 
 
+def test_kernels_are_centrosymmetric_bitwise(hm):
+    # Every kernel is even, K(-a, -b) = K(a, b), and on mirrored nodes the
+    # matrix keeps it exactly off its diagonal, which the determinant's
+    # even/odd fold relies on; odd n and near-diagonal pairs included.
+    specs = (Sine(x=1.0), CubicSine(t=1.0, x=1.0), CubicSine(t=0.3, x=2.0),
+             PII(x=1.0, field=PsiField(x=1.0, hm=hm)),
+             PII(x=-4.0, field=PsiField(x=-4.0, hm=hm)))
+    for spec in specs:
+        for s, n in ((2.0, 32), (2.0, 33), (2.4, 64), (1e-5, 64)):
+            k = kernel_matrix(spec, s * gauss_legendre(n).nodes_f8)
+            off = ~np.eye(n, dtype=bool)
+            assert np.array_equal(k[off], k[::-1, ::-1][off])
+
+
 def test_zero_t_collapses_to_the_plain_sine_kernel():
     # One shared code path means exact equality, not approximate.
     s = Sine(x=1.3)
@@ -137,7 +151,8 @@ def test_rank_structured_matrix_matches_scalar_evaluation(pii1):
 def test_near_diagonal_entries_march_in_one_batch(hm, monkeypatch):
     # Nodes of 1e-5 * GL(64) sit closer than the 1e-6 switch radius, so many
     # off-diagonal pairs take the diagonal value at their midpoint; all
-    # those midpoints go into one march after the nodes' own.
+    # those midpoints go into one march after the nodes' own.  Only |lambda|
+    # marches: 32 nodes, and 99 of the 197 midpoints (0 and 98 mirror pairs).
     marches = []
     march = gapdet.psi._march
 
@@ -151,7 +166,7 @@ def test_near_diagonal_entries_march_in_one_batch(hm, monkeypatch):
     k = kernel_matrix(spec, pts)
     stray = (np.abs(pts[:, None] - pts[None, :]) < 1e-6) & ~np.eye(64, dtype=bool)
     mids = 0.5 * (pts[:, None] + pts[None, :])
-    assert marches == [64, len(np.unique(mids[stray]))]
+    assert marches == [32, len(np.unique(np.abs(mids[stray])))] == [32, 99]
     assert np.array_equal(k, k.T)
     for i, j in zip(*np.nonzero(stray)):
         assert abs(k[i, j] - entry(spec, float(mids[i, j]))) <= 1e-12

@@ -38,16 +38,38 @@ def test_zero_potential_reduces_to_pure_oscillation(free_hm):
 
 
 def test_a_cached_column_is_the_marched_column(hm):
-    # The cache holds psi11 as formed from the (p, q) pair _march produced,
-    # bit for bit; an empty request still has two columns.
+    # The cache holds psi11 at |lambda| as formed from the (p, q) pair
+    # _march produced, bit for bit, and a negative lambda reads its
+    # conjugate; an empty request still has two columns.
     lams = np.array([-2.5, -0.3, 0.0, 0.3, 1.7])
+    mags = np.array([0.0, 0.3, 1.7, 2.5])
     f, g = PsiField(x=0.5, hm=hm), PsiField(x=0.5, hm=hm)
-    p, q = gapdet.psi._march(g, lams)
-    cubic = np.exp(1j * ((4.0 / 3.0) * lams ** 3))
-    psi11 = (p * np.conj(cubic) - 1j * (q * cubic)) * np.exp(-1j * (0.5 * lams))
-    assert np.array_equal(psi_columns(f, lams)[:, 0], psi11)
-    assert np.array_equal([f.cache[lam] for lam in lams.tolist()], psi11)
+    p, q = gapdet.psi._march(g, mags)
+    cubic = np.exp(1j * ((4.0 / 3.0) * mags ** 3))
+    psi11 = (p * np.conj(cubic) - 1j * (q * cubic)) * np.exp(-1j * (0.5 * mags))
+    cols = psi_columns(f, lams)[:, 0]
+    assert sorted(f.cache) == mags.tolist()
+    assert np.array_equal([f.cache[lam] for lam in mags.tolist()], psi11)
+    assert np.array_equal(cols, [np.conj(psi11[3]), np.conj(psi11[1]), psi11[0],
+                                 psi11[1], psi11[2]])
     assert psi_columns(f, []).shape == (0, 2)
+
+
+def test_a_negative_lambda_reads_its_mirror(hm):
+    # psi11(-lambda) = conj psi11(lambda) and psi21(-lambda) = -conj
+    # psi21(lambda) hold bit for bit, since only |lambda| is marched, and a
+    # march run at -lambda itself agrees to rounding.
+    lams = np.concatenate([2.4 * gauss_legendre(64).nodes_f8[32:], LAM_GRID[8:]])
+    for x in (-4.0, 0.0, 1.0):
+        f = PsiField(x=x, hm=hm)
+        cols, mirror = psi_columns(f, lams), psi_columns(f, -lams)
+        assert len(f.cache) == len(lams)
+        assert np.array_equal(mirror[:, 0], np.conj(cols[:, 0]))
+        assert np.array_equal(mirror[:, 1], -np.conj(cols[:, 1]))
+        p, q = gapdet.psi._march(f, -lams)
+        cubic = np.exp(1j * ((4.0 / 3.0) * (-lams) ** 3))
+        direct = (p * np.conj(cubic) - 1j * (q * cubic)) * np.exp(1j * (x * lams))
+        assert np.max(np.abs(direct - mirror[:, 0])) <= 1e-14
 
 
 def test_determinant_stays_unimodular(hm):
@@ -127,7 +149,8 @@ def test_a_column_marched_alone_matches_its_ladder_batch(hm):
 
 
 def test_ladder_batch_steps_over_the_decayed_potential(hm):
-    # The first two rungs of a PII ladder at x = 0, s = 1.8.  The grid is
+    # The first two rungs of a PII ladder at x = 0, s = 1.8, whose 48
+    # non-negative nodes march (a negative one reads its mirror).  The grid is
     # fixed per field: one call samples u to grade it, then one call per
     # chunk of steps evaluates u at the chunk's three Gauss points per step.
     # Past x ~ 6, where u < 1e-5, the steps are long, so few lie there.
@@ -142,7 +165,7 @@ def test_ladder_batch_steps_over_the_decayed_potential(hm):
     f._u = counting
     lams = np.concatenate([1.8 * gauss_legendre(n).nodes_f8 for n in (32, 64)])
     psi_columns(f, lams)
-    assert len(f.cache) == 96
+    assert len(f.cache) == 48
     sizes = [len(xs) for xs in calls[1:]]
     steps = sum(sizes) // 3
     chunk = gapdet.psi._CHUNK
