@@ -8,24 +8,24 @@ every kernel here is even, K(-a, -b) = K(a, b), so M is centrosymmetric:
 on the even and on the odd vectors it acts as two blocks of order n/2
 (``_fold``; (n + 1)/2 and (n - 1)/2 for odd n), and det M = det(even)
 det(odd), the even/odd split of the sine-kernel determinant (Gaudin
-1961).  So every rung eliminates two
-half-size blocks, a quarter of the work of eliminating M, and a PII rung
-marches its columns at the non-negative nodes only.  M is assembled in
-binary64 (the kernel itself is only good to ~1e-9 anyway), folded, and
-the blocks are eliminated in double-double.  That buys no accuracy: even
-at log det ~ -62 the smallest pivot is moderate (0.56 for PII at x = 1,
-s = 2, n = 256), so the binary64 assembly sets the error.  A correlation
-kernel has 0 <= K < I, so a resolved M, and with it each block, is
-positive definite, and a rung with a block that is not is refused as
-under-resolved.  The double-double LDL^T stays until a binary64
-factorization, trusted by the conditioning of I - K, replaces it; log det
-is the binary64 sum of the two words of each block's log det, and the
-ladder's gap is a binary64 difference.
+1961).  So every rung eliminates two half-size blocks, a quarter of the
+work of eliminating M, and a PII rung marches its columns at the
+non-negative nodes only.  M is assembled in binary64 (the kernel itself
+is only good to ~1e-9 anyway), folded, and the blocks are eliminated in
+double-double, both in one stacked call at even n, the ladder's orders.
+That buys no accuracy: even at log det ~ -62 the smallest pivot is
+moderate (0.56 for PII at x = 1, s = 2, n = 256), so the binary64
+assembly sets the error.  A correlation kernel has 0 <= K < I, so a
+resolved M, and with it each block, is positive definite, and a rung with
+a block that is not is refused as under-resolved.  The double-double
+LDL^T stays until a binary64 factorization, trusted by the conditioning
+of I - K, replaces it; log det is the binary64 sum of the two words of
+each block's log det, and the ladder's gap is a binary64 difference.
 
-The slopes need no determinant, only binary64 solves with the same two
-blocks per rung, refused as the determinant's rung is when a binary64
-Cholesky factorization finds a block not positive definite (Tracy and
-Widom 1994; Bornemann 2010):
+The slopes need no determinant, only one stacked binary64 solve with the
+same two blocks per rung, refused as the determinant's rung is when a
+stacked binary64 Cholesky factorization finds a block not positive
+definite (Tracy and Widom 1994; Bornemann 2010):
 
     d/ds log det = -(R(s, s) + R(-s, -s)) = -2 R(s, s),
     d/dx log det = -tr((I - K)^-1 dK/dx),
@@ -152,14 +152,34 @@ def _nystrom(spec: KernelSpec, s: float, n: int, extra=()) -> tuple:
     return np.eye(n) - (sq[:, None] * sq[None, :]) * k[:n, :n], xi, sq, k
 
 
+def _eliminate(blocks: tuple) -> list:
+    """``log_det_lu`` of the two blocks of ``_fold``: one (2, h, h) stack at
+    even n, and at odd n, whose blocks differ in order by one, each block
+    alone, so every result is the block's own.  A refusal raises the
+    NotPositiveDefiniteError of the earliest step at which a block fails,
+    the even block's on a tie, its ``index`` naming the block."""
+    if len(blocks[0]) == len(blocks[1]):
+        return log_det_lu(np.stack(blocks))
+    results, refusals = [], []
+    for index, block in enumerate(blocks):
+        try:
+            results.append(log_det_lu(block))
+        except NotPositiveDefiniteError as e:
+            refusals.append((e.step, index))
+    if refusals:
+        raise NotPositiveDefiniteError(*min(refusals))
+    return results
+
+
 def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
     """log det(I - K) on (-s, s) at a fixed quadrature order.
 
-    M is eliminated as the two blocks of ``_fold``: log det is the sum of
-    theirs, and ``pivot_min`` the smaller of their smallest pivots, which
-    is never below the smallest eigenvalue of M.  A block that is not
-    positive definite raises DetIntegrityError naming the block and the
-    elimination step.
+    M is eliminated as the two blocks of ``_fold``, in one stacked call at
+    even n (``_eliminate``): log det is the sum of theirs, and
+    ``pivot_min`` the smaller of their smallest pivots, which is never
+    below the smallest eigenvalue of M.  A block that is not positive
+    definite raises DetIntegrityError naming the block and the elimination
+    step, the earliest at which a block fails, the even block on a tie.
     """
     if not _N_MIN <= n <= _N_MAX:
         raise ValueError(f"n = {n} outside [{_N_MIN}, {_N_MAX}]")
@@ -168,15 +188,14 @@ def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
         return DetEvaluation(spec, s, n, 0.0, 1.0, True)
 
     # only the two blocks are kept: K and M are freed before the elimination
-    blocks = _fold(_nystrom(spec, s, n)[0])
+    try:
+        results = _eliminate(_fold(_nystrom(spec, s, n)[0]))
+    except NotPositiveDefiniteError as e:
+        raise DetIntegrityError(
+            f"I - K not positive definite at s = {s}, n = {n}: {_BLOCKS[e.index]} block, {e}"
+        ) from None
     value, pivot_min = 0.0, math.inf
-    for name, block in zip(_BLOCKS, blocks):
-        try:
-            res = log_det_lu(block)
-        except NotPositiveDefiniteError as e:
-            raise DetIntegrityError(
-                f"I - K not positive definite at s = {s}, n = {n}: {name} block, {e}"
-            ) from None
+    for res in results:
         value += res.log_abs_det[0] + res.log_abs_det[1]
         pivot_min = min(pivot_min, res.pivot_min)
     if not value <= 0.0:
@@ -241,24 +260,51 @@ def _slope_agree(val: float, prev: float) -> bool:
     return abs(val - prev) <= _LADDER_TOL * max(1.0, abs(val))
 
 
-def _solve(m: np.ndarray, rhs: np.ndarray, s: float, n: int, name: str) -> np.ndarray:
-    """m^-1 rhs in binary64 for the ``name`` block of M, or DetIntegrityError
-    when the block is singular, the solution is not finite, or the block is
-    not positive definite (its binary64 Cholesky factorization fails), the
-    rung ``log_det`` refuses."""
+def _refused_block(blocks: np.ndarray) -> str:
+    """The block of a stack that a failed binary64 solve or Cholesky gate
+    names, by ``log_det``'s rule: the block whose own Cholesky factorization
+    fails at the earliest step, the even block on a tie or when neither
+    does.  A block's step is the order of its largest leading block that
+    factors, found by bisection: a leading block of a positive definite
+    matrix is positive definite."""
+    steps = []
+    for block in blocks:
+        lo, hi = 0, len(block) + 1   # the order-lo leading block factors, order hi does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                np.linalg.cholesky(block[:mid, :mid])
+                lo = mid
+            except np.linalg.LinAlgError:
+                hi = mid
+        steps.append(lo)
+    return _BLOCKS[steps.index(min(steps))]
+
+
+def _solve(blocks: np.ndarray, rhs: np.ndarray, s: float, n: int) -> np.ndarray:
+    """blocks^-1 rhs in binary64 for the (2, h, h) stack of ``_fold``'s
+    blocks and the (2, h, k) stack of their right-hand sides: one solve
+    and one Cholesky gate for both.  DetIntegrityError when a block is
+    singular, its solution is not finite, or it is not positive definite
+    (its binary64 Cholesky factorization fails), the rung ``log_det``
+    refuses; the error names the block, the first with a solution that is
+    not finite, else the one ``_refused_block`` names.  The ladder's orders
+    are even, so the two blocks have one order."""
     try:
-        sol = np.linalg.solve(m, rhs)
+        sol = np.linalg.solve(blocks, rhs)
     except np.linalg.LinAlgError as e:
         raise DetIntegrityError(
-            f"I - K not solvable at s = {s}, n = {n}: {name} block, {e}"
+            f"I - K not solvable at s = {s}, n = {n}: {_refused_block(blocks)} block, {e}"
         ) from None
-    if not np.isfinite(sol).all():
-        raise DetIntegrityError(f"I - K solve not finite at s = {s}, n = {n}: {name} block")
+    finite = np.isfinite(sol).all(axis=(1, 2))
+    if not finite.all():
+        raise DetIntegrityError(f"I - K solve not finite at s = {s}, n = {n}: "
+                                f"{_BLOCKS[int(np.argmin(finite))]} block")
     try:
-        np.linalg.cholesky(m)
+        np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
         raise DetIntegrityError(
-            f"I - K not positive definite at s = {s}, n = {n}: {name} block"
+            f"I - K not positive definite at s = {s}, n = {n}: {_refused_block(blocks)} block"
         ) from None
     return sol
 
@@ -270,8 +316,9 @@ def _ds_rung(spec: KernelSpec, s: float, n: int) -> float:
     the two blocks of ``_fold`` of each folded part of b (``_fold_rows``)
     against its block's solve."""
     m, _, sq, k = _nystrom(spec, s, n, extra=[s])
-    quad = sum(float(b @ _solve(block, b, s, n, name))
-               for name, block, b in zip(_BLOCKS, _fold(m), _fold_rows(sq * k[:n, n])))
+    parts = np.stack(_fold_rows(sq * k[:n, n]))
+    sols = _solve(np.stack(_fold(m)), parts[..., None], s, n)[..., 0]
+    quad = sum(float(b @ x) for b, x in zip(parts, sols))
     return -(2.0 * float(k[n, n]) + quad)
 
 
@@ -279,9 +326,8 @@ def _dx_rung(spec: KernelSpec, s: float, n: int) -> float:
     """-tr(M^-1 W^1/2 dK/dx W^1/2) at order n, summed over the blocks of
     ``_fold``: dK/dx is even too, so it folds as M does."""
     m, xi, sq, _ = _nystrom(spec, s, n)
-    d = _fold((sq[:, None] * sq[None, :]) * kernel_dx_matrix(spec, xi))
-    return -sum(float(np.trace(_solve(block, rhs, s, n, name)))
-                for name, block, rhs in zip(_BLOCKS, _fold(m), d))
+    d = np.stack(_fold((sq[:, None] * sq[None, :]) * kernel_dx_matrix(spec, xi)))
+    return -sum(float(np.trace(x)) for x in _solve(np.stack(_fold(m)), d, s, n))
 
 
 def dlogdet_ds(spec: KernelSpec, s: float) -> float:

@@ -15,16 +15,19 @@ roughly 31 digits (the QD library's form: Hida, Li and Bailey, ARITH-15,
 same code runs on scalars and numpy arrays; the hot paths use arrays: the
 rule's one double-double pass of the Legendre recurrence over all its
 binary64 roots at once, and the elimination's multipliers and rank-1
-update.  A rule takes its nodes and weights from that one pass (a Halley
-step for the node, a Taylor-corrected P_n' for the weight), so the four ladder
-orders 32-256 build in about 45 ms together on a 2-core host, against
-about 0.22 s with three passes.  The binary64 Newton that starts the
-pass settles on every accepted order (``gauss_legendre``), so the
-module's one error of its own is the elimination's
-``NotPositiveDefiniteError``.  The pivot's reciprocal, once per pivot,
-runs on Python floats.  The product of the pivots and its log are the
-standard library's: ``decimal`` at 40 digits, correctly rounded, with an
-exponent range that no product of binary64 pivots leaves.
+update, formed once per pivot step for a whole stack of matrices of one
+order (the two folded blocks of a Nystrom rung), which halves the numpy
+calls of a rung, each matrix's result bit for bit its own.  A rule takes
+its nodes and weights from that one pass (a Halley step for the node, a
+Taylor-corrected P_n' for the weight), so the four ladder orders 32-256
+build in about 45 ms together on a 2-core host, against about 0.22 s with
+three passes.  The binary64 Newton that starts the pass settles on every
+accepted order (``gauss_legendre``), so the module's one error of its own
+is the elimination's ``NotPositiveDefiniteError``.  The pivot's
+reciprocal, once per pivot and matrix, runs on Python floats.  The
+product of the pivots and its log are the standard library's:
+``decimal`` at 40 digits, correctly rounded, with an exponent range that
+no product of binary64 pivots leaves.
 
 No FMA is assumed: ``math.fma`` does not exist on the oldest supported
 interpreter, and numpy does not expose one either, so ``two_prod`` always goes
@@ -65,11 +68,13 @@ _SPLITTER = 134217729.0
 class NotPositiveDefiniteError(ArithmeticError):
     """Raised by log_det_lu at the first pivot that is not positive.
 
-    ``step`` is the elimination step of that pivot.
+    ``step`` is the elimination step of that pivot and ``index`` the
+    position in the stack of its matrix (0 for a single matrix).
     """
 
-    def __init__(self, step: int):
+    def __init__(self, step: int, index: int = 0):
         self.step = step
+        self.index = index
         super().__init__(f"pivot not positive at elimination step {step}")
 
 
@@ -315,57 +320,73 @@ _LU_ROWS = 64
 _DEC = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 
-def log_det_lu(matrix) -> LogDetResult:
-    """log det of a symmetric positive definite float matrix by unpivoted
-    LDL^T elimination in double-double.
+def log_det_lu(matrix):
+    """log det of a symmetric positive definite float matrix, or of each
+    matrix of a stack, by unpivoted LDL^T elimination in double-double.
 
-    The entries are binary64 and must be exactly symmetric; every update is
-    a (hi, lo) pair in the lower trapezoid of a row slice, with the pivot
-    row read from the pivot column.  A pivot whose hi word is not positive
-    raises NotPositiveDefiniteError.  Each step forms one scalar dd
-    reciprocal of the pivot's binary64 mantissa on Python floats and its
-    multipliers from one vector dd_mul, so no multiplier overflows a Dekker
-    split.  The product of the pivots is carried in 40-digit decimal, and
-    log det is one correctly rounded decimal ln of it, split into a (hi, lo)
-    pair.
+    A 2-D ``matrix`` gives one LogDetResult.  A stack of matrices of one
+    order, shaped (B, n, n) as in ``numpy.linalg``, gives a list of B, and
+    each array operation of a pivot step runs once on the whole stack;
+    every operation is elementwise in the matrix, so each result is bit for
+    bit the one that matrix gives alone.  The entries are binary64 and each
+    matrix must be exactly symmetric; every update is a (hi, lo) pair in the
+    lower trapezoid of a row slice, with the pivot row read from the pivot
+    column.  A pivot whose hi word is not positive raises
+    NotPositiveDefiniteError, at the earliest step at which any matrix has
+    one and naming the first such matrix.  Each step forms one scalar dd
+    reciprocal per matrix of its pivot's binary64 mantissa on Python floats
+    and the multipliers from one vector dd_mul, so no multiplier overflows
+    a Dekker split.  Each matrix's product of pivots is carried in 40-digit
+    decimal, and its log det is one correctly rounded decimal ln of it,
+    split into a (hi, lo) pair.
     """
     ah = np.array(matrix, dtype=float)
-    if ah.ndim != 2 or ah.shape[0] != ah.shape[1] or ah.shape[0] == 0:
+    stacked = ah.ndim == 3
+    if not stacked:
+        ah = ah[None]
+    if ah.ndim != 3 or ah.shape[1] != ah.shape[2] or 0 in ah.shape:
         raise ValueError("matrix must be square and non-empty")
     if not np.all(np.isfinite(ah)):
         raise ValueError("matrix entries must be finite")
-    if not np.array_equal(ah, ah.T):
+    if not np.array_equal(ah, ah.transpose(0, 2, 1)):
         raise ValueError("matrix must be symmetric")
     al = np.zeros(ah.shape)
-    n = ah.shape[0]
+    depth, n = ah.shape[:2]
 
-    prod = decimal.Decimal(1)   # product of the pivots
-    piv = (math.inf, 0.0)       # first smallest pivot as (hi, lo)
+    prods = [decimal.Decimal(1)] * depth   # product of each matrix's pivots
+    pivs = [(math.inf, 0.0)] * depth       # each first smallest pivot as (hi, lo)
 
     for k in range(n):
-        ph, pl = float(ah[k, k]), float(al[k, k])
-        if not (math.isfinite(ph) and math.isfinite(pl)):
-            raise ValueError("the elimination overflowed binary64")
-        if not ph > 0.0:
-            raise NotPositiveDefiniteError(k)
-        piv = min(piv, (ph, pl))
-        prod = _DEC.multiply(prod, _DEC.add(_DEC.create_decimal_from_float(ph),
-                                            _DEC.create_decimal_from_float(pl)))
+        recips, shifts = [], []
+        for b, (ph, pl) in enumerate(zip(ah[:, k, k].tolist(), al[:, k, k].tolist())):
+            if not (math.isfinite(ph) and math.isfinite(pl)):
+                raise ValueError("the elimination overflowed binary64")
+            if not ph > 0.0:
+                raise NotPositiveDefiniteError(k, b)
+            pivs[b] = min(pivs[b], (ph, pl))
+            prods[b] = _DEC.multiply(prods[b], _DEC.add(_DEC.create_decimal_from_float(ph),
+                                                        _DEC.create_decimal_from_float(pl)))
+            if k + 1 < n:
+                # -1 / pivot = r 2^-x; the column, scaled by 2^-x, is at most 1
+                fh, x = math.frexp(ph)
+                recips.append(dd_div(-1.0, 0.0, fh, math.ldexp(pl, -x)))
+                shifts.append(-x)
 
         if k + 1 < n:
-            # -1 / pivot = r 2^-x; the column, scaled by 2^-x, is at most 1
-            fh, x = math.frexp(ph)
-            fl = math.ldexp(pl, -x)
-            rh, rl = dd_div(-1.0, 0.0, fh, fl)
-            uh, ul = ah[k + 1:, k], al[k + 1:, k]
-            mh, ml = dd_mul(np.ldexp(uh, -x), np.ldexp(ul, -x), rh, rl)
-            bh, bl = ah[k + 1:, k + 1:], al[k + 1:, k + 1:]  # views of the trailing block
+            rh, rl = np.array(recips).T[:, :, None]
+            x = np.array(shifts)[:, None]
+            uh, ul = ah[:, k + 1:, k], al[:, k + 1:, k]
+            mh, ml = dd_mul(np.ldexp(uh, x), np.ldexp(ul, x), rh, rl)
+            bh, bl = ah[:, k + 1:, k + 1:], al[:, k + 1:, k + 1:]  # views of the trailing blocks
             for i in range(0, n - k - 1, _LU_ROWS):
-                e = i + _LU_ROWS  # rows i..e of the block, columns up to e
-                th, tl = dd_mul(mh[i:e, None], ml[i:e, None], uh[None, :e], ul[None, :e])
-                bh[i:e, :e], bl[i:e, :e] = dd_add(bh[i:e, :e], bl[i:e, :e], th, tl)
+                e = i + _LU_ROWS  # rows i..e of each block, columns up to e
+                th, tl = dd_mul(mh[:, i:e, None], ml[:, i:e, None], uh[:, None, :e], ul[:, None, :e])
+                bh[:, i:e, :e], bl[:, i:e, :e] = dd_add(bh[:, i:e, :e], bl[:, i:e, :e], th, tl)
 
-    log_abs = _DEC.ln(prod)
-    hi = float(log_abs)
-    lo = float(_DEC.subtract(log_abs, _DEC.create_decimal_from_float(hi)))
-    return LogDetResult((hi, lo), piv[0] + piv[1])
+    results = []
+    for prod, piv in zip(prods, pivs):
+        log_abs = _DEC.ln(prod)
+        hi = float(log_abs)
+        lo = float(_DEC.subtract(log_abs, _DEC.create_decimal_from_float(hi)))
+        results.append(LogDetResult((hi, lo), piv[0] + piv[1]))
+    return results if stacked else results[0]

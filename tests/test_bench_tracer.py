@@ -29,9 +29,11 @@ def test_tracer_counts_a_pii_ladder(hm):
     # The tracer reads the column cache and psi_columns' return value; a
     # ladder at (x, s) = (0, 1.0) stops at n = 64 after marching the 48
     # non-negative nodes of its first two rungs up front and asking for all
-    # 96 nodes again per rung, and it eliminates each rung as two half-size
-    # blocks.  The ladder is looked up on its module after install, as the
-    # benchmark does.
+    # 96 nodes again per rung, and it eliminates each rung as one stack of
+    # its two half-size blocks, one log_det_lu call per rung.  The tracer
+    # reads a call's n as len(args[0]), which for a stack is its depth, 2.
+    # The ladder is looked up on its module after install, as the benchmark
+    # does.
     tracer_mod = _load_tracer()
     from gapdet import PII, PsiField, fredholm
 
@@ -46,7 +48,8 @@ def test_tracer_counts_a_pii_ladder(hm):
     assert m["psi.lambdas_requested"] == 192
     assert m["psi.lambdas_marched"] == 48
     assert m["fredholm.log_det.calls"] == 2
-    assert m["mpnum.log_det_lu.n3_sum"] == 2 * 16 ** 3 + 2 * 32 ** 3
+    assert m["mpnum.log_det_lu.calls"] == 2
+    assert m["mpnum.log_det_lu.n3_sum"] == 2 * 2 ** 3
 
 
 def test_tracer_counts_ladders_on_a_shared_field(hm):

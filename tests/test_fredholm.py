@@ -273,13 +273,13 @@ def test_pii_ladder_eliminates_only_the_rungs_it_needs(hm, monkeypatch):
     lu = gapdet.fredholm.log_det_lu
 
     def recording(m):
-        sizes.append(m.shape[0])
+        sizes.append(m.shape)
         return lu(m)
 
     monkeypatch.setattr(gapdet.fredholm, "log_det_lu", recording)
     log_det_converged(PII(x=0.0, field=PsiField(x=0.0, hm=hm)), 1.8)
-    # each rung is eliminated as its even and odd blocks
-    assert sizes == [16, 16, 32, 32]
+    # each rung is eliminated as one stack of its even and odd blocks
+    assert sizes == [(2, 16, 16), (2, 32, 32)]
 
 
 def test_trust_band_edge_still_converges_for_trig():
@@ -291,8 +291,9 @@ def test_indefinite_rungs_are_refused(hm):
     # At s = 2.4 the n = 32 rungs are under-resolved and their M has a
     # negative eigenvalue (-9.8e-7, -6.7e-8 and -9.8e-7), in both of its
     # folded blocks: the elimination of the even block stops at its 12th
-    # pivot, the error names the block and the step, and the ladder skips
-    # the rung like any other that fails
+    # pivot, that of the odd block at its 12th or 16th, so the error names
+    # the even block (the earlier step, or the tie) and the step, and the
+    # ladder skips the rung like any other that fails
     specs = (CubicSine(t=1.0, x=1.0), PII(x=0.0, field=PsiField(x=0.0, hm=hm)),
              PII(x=1.0, field=PsiField(x=1.0, hm=hm)))
     for spec in specs:
@@ -302,6 +303,23 @@ def test_indefinite_rungs_are_refused(hm):
     ev = log_det_converged(specs[0], 2.4)
     assert ev.n == 256 and not ev.converged
     assert ev.log_det == log_det(specs[0], 2.4, 256).log_det
+
+
+def test_a_refusal_names_the_block_that_fails_first(hm):
+    # At odd n the middle node leads the even block, so at n = 33 its
+    # elimination fails a step later than at n = 32, and the odd block,
+    # failing at step 11, is named
+    for spec in (CubicSine(t=1.0, x=1.0), PII(x=1.0, field=PsiField(x=1.0, hm=hm))):
+        with pytest.raises(DetIntegrityError, match="not positive definite at s = 2.4, n = 33: "
+                           "odd block, pivot not positive at elimination step 11"):
+            log_det(spec, 2.4, 33)
+    # the slopes' Cholesky gate names a block by the same rule
+    ok, late, early = np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), np.diag([1.0, -1.0, 1.0, 1.0])
+    for blocks, name in (((ok, early), "odd"), ((late, early), "odd"), ((early, late), "even"),
+                         ((late, late), "even"), ((ok, ok), "even")):
+        assert gapdet.fredholm._refused_block(np.stack(blocks)) == name
+    with pytest.raises(DetIntegrityError, match="not positive definite at s = 1, n = 8: odd block"):
+        gapdet.fredholm._solve(np.stack([late, early]), np.ones((2, 4, 1)), 1, 8)
 
 
 def _recorded_rungs(mp, name):
@@ -583,7 +601,7 @@ def test_argument_validation(hm):
 def test_nan_log_det_fails_the_integrity_check(monkeypatch):
     nan = float("nan")
     monkeypatch.setattr(
-        gapdet.fredholm, "log_det_lu", lambda m: LogDetResult((nan, 0.0), 1.0)
+        gapdet.fredholm, "log_det_lu", lambda m: [LogDetResult((nan, 0.0), 1.0)] * len(m)
     )
     with pytest.raises(DetIntegrityError):
         log_det(Sine(x=1.0), 1.0, 32)

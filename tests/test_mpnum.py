@@ -333,3 +333,68 @@ def test_log_det_on_the_nystrom_matrices_that_matter(hm):
         err = abs(_mp(res.log_abs_det) - _exact_logdet_oracle(m))
         assert err <= np.linalg.cond(m) * 2.0 ** -106
 
+
+def _same(a, b) -> bool:
+    """Bit-for-bit equality of two results: hi, lo and pivot_min."""
+    return a.log_abs_det == b.log_abs_det and a.pivot_min == b.pivot_min
+
+
+def test_a_stack_gives_each_matrix_its_own_result():
+    for depth in (1, 2, 3):
+        for n in (1, 7, 64, 65, 130):
+            stack = np.stack([_spd(100 * depth + n + i, n, 0.1) for i in range(depth)])
+            results = log_det_lu(stack)
+            assert len(results) == depth
+            assert all(_same(r, log_det_lu(m)) for r, m in zip(results, stack))
+
+
+def test_a_stack_of_folded_blocks_gives_each_block_its_own_result(hm):
+    from gapdet.fredholm import _fold, _nystrom
+    from gapdet.kernels import Sine
+
+    cases = ((Sine(x=1.0), 5.0), (CubicSine(t=1.0, x=1.0), 2.0),
+             (PII(x=1.0, field=PsiField(x=1.0, hm=hm)), 2.0))
+    for spec, s in cases:
+        for n in (32, 64, 128, 256):
+            blocks = _fold(_nystrom(spec, s, n)[0])
+            results = log_det_lu(np.stack(blocks))
+            assert all(_same(r, log_det_lu(b)) for r, b in zip(results, blocks))
+
+
+def test_a_stack_refusal_names_the_earliest_step_and_its_matrix():
+    ok = np.eye(4)
+    late = np.diag([1.0, 1.0, 1.0, -1.0])      # fails at step 3
+    early = np.diag([1.0, -1.0, 1.0, 1.0])     # fails at step 1
+    for stack, index, step in (([ok, early], 1, 1), ([late, early], 1, 1),
+                               ([early, late], 0, 1), ([late, ok, late], 0, 3),
+                               ([ok, late, early], 2, 1)):
+        with pytest.raises(NotPositiveDefiniteError) as e:
+            log_det_lu(np.stack(stack))
+        assert (e.value.index, e.value.step) == (index, step)
+    # matrices failing at the same step: the first of them is named
+    for stack, index in (([early, early], 0), ([late, early, early], 1)):
+        with pytest.raises(NotPositiveDefiniteError) as e:
+            log_det_lu(np.stack(stack))
+        assert (e.value.index, e.value.step) == (index, 1)
+    # a single matrix is index 0
+    with pytest.raises(NotPositiveDefiniteError) as e:
+        log_det_lu(late)
+    assert (e.value.index, e.value.step) == (0, 3)
+
+
+def test_a_stack_is_checked_like_a_matrix():
+    a = _spd(31, 5, 1.0)
+    with pytest.raises(ValueError):
+        log_det_lu([a, a[:4, :4]])
+    with pytest.raises(ValueError, match="square"):
+        log_det_lu(np.zeros((2, 4, 5)))
+    with pytest.raises(ValueError, match="square"):
+        log_det_lu(np.zeros((0, 4, 4)))
+    b = a.copy()
+    b[3, 1] = np.nextafter(b[3, 1], np.inf)
+    with pytest.raises(ValueError, match="symmetric"):
+        log_det_lu(np.stack([a, b]))
+    c = a.copy()
+    c[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        log_det_lu(np.stack([a, c]))
