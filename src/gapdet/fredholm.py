@@ -31,12 +31,12 @@ definite (Tracy and Widom 1994; Bornemann 2010):
     d/dx log det = -tr((I - K)^-1 dK/dx),
 
 R = K (I - K)^-1 the resolvent, even as K is.  R(s, s) = K(s, s) +
-b^T M^-1 b with b_i = sqrt(w_i) K(x_i, s), whose even and odd parts meet
-their own block's solve, and the trace is tr(M^-1 W^1/2 dK/dx W^1/2), with
-W^1/2 dK/dx W^1/2 folded as M is.  They run on the determinant's ladder,
-whose gap test for a slope is relative: successive rungs agree within
-1e-8 max(1, |slope|), which at |d/ds| = 162 (PII, x = 1, s = 2) is the
-rounding floor of the solve.
+b^T M^-1 b with b_i = sqrt(w_i) K(x_i, s), and dK/dx = G G^T has rank
+two, so the trace is tr(g^T M^-1 g) with g = W^1/2 G; the even and odd
+parts of b and of g meet their own block's solve.  They run on the
+determinant's ladder, whose gap test for a slope is relative: successive
+rungs agree within 1e-8 max(1, |slope|), which at |d/ds| = 162 (PII,
+x = 1, s = 2) is the rounding floor of the solve.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import psi
-from .kernels import CubicSine, KernelSpec, PII, Sine, kernel_dx_matrix, kernel_matrix
+from .kernels import CubicSine, KernelSpec, PII, Sine, kernel_dx_factors, kernel_matrix
 from .mpnum import NotPositiveDefiniteError, gauss_legendre, log_det_lu
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
 _N_MIN, _N_MAX = 8, 400
 _LADDER = (32, 64, 128, 256)  # doubling from 32 up to the order cap
 _LADDER_TOL = 1e-8
-_BLOCKS = ("even", "odd")  # the two blocks of ``_fold``, in its order
 
 
 class DetIntegrityError(RuntimeError):
@@ -127,18 +126,14 @@ def _fold(a: np.ndarray) -> tuple:
     return even, odd
 
 
-def _fold_rows(v: np.ndarray) -> tuple:
-    """The even and odd parts of a vector on mirrored nodes, v+ +- J v-,
-    an odd n's middle entry times sqrt(2) leading the even part: sqrt(2)
-    times v in the bases of ``_fold``, so v^T A^-1 v is half the sum over
-    the two blocks of part^T block^-1 part."""
-    n = len(v)
-    h = n // 2
-    top, cross = v[n - h:], v[h - 1::-1]
-    even, odd = top + cross, top - cross
-    if n % 2:
-        even = np.concatenate([[math.sqrt(2.0) * v[h]], even])
-    return even, odd
+def _fold_rows(v: np.ndarray) -> np.ndarray:
+    """The even and odd parts v+ +- J v- of an (n, k) array on mirrored
+    nodes, n even, stacked as (2, n/2, k): sqrt(2) times v in the bases of
+    ``_fold``, so a column's v^T A^-1 v is half the sum over the two blocks
+    of part^T block^-1 part."""
+    h = len(v) // 2
+    top, cross = v[h:], v[h - 1::-1]
+    return np.stack([top + cross, top - cross])
 
 
 def _nystrom(spec: KernelSpec, s: float, n: int, extra=()) -> tuple:
@@ -152,34 +147,14 @@ def _nystrom(spec: KernelSpec, s: float, n: int, extra=()) -> tuple:
     return np.eye(n) - (sq[:, None] * sq[None, :]) * k[:n, :n], xi, sq, k
 
 
-def _eliminate(blocks: tuple) -> list:
-    """``log_det_lu`` of the two blocks of ``_fold``: one (2, h, h) stack at
-    even n, and at odd n, whose blocks differ in order by one, each block
-    alone, so every result is the block's own.  A refusal raises the
-    NotPositiveDefiniteError of the earliest step at which a block fails,
-    the even block's on a tie, its ``index`` naming the block."""
-    if len(blocks[0]) == len(blocks[1]):
-        return log_det_lu(np.stack(blocks))
-    results, refusals = [], []
-    for index, block in enumerate(blocks):
-        try:
-            results.append(log_det_lu(block))
-        except NotPositiveDefiniteError as e:
-            refusals.append((e.step, index))
-    if refusals:
-        raise NotPositiveDefiniteError(*min(refusals))
-    return results
-
-
 def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
     """log det(I - K) on (-s, s) at a fixed quadrature order.
 
     M is eliminated as the two blocks of ``_fold``, in one stacked call at
-    even n (``_eliminate``): log det is the sum of theirs, and
-    ``pivot_min`` the smaller of their smallest pivots, which is never
-    below the smallest eigenvalue of M.  A block that is not positive
-    definite raises DetIntegrityError naming the block and the elimination
-    step, the earliest at which a block fails, the even block on a tie.
+    even n and each alone at odd n, whose blocks differ in order by one:
+    log det is the sum of theirs, and ``pivot_min`` the smaller of their
+    smallest pivots, which is never below the smallest eigenvalue of M.  A
+    block that is not positive definite raises DetIntegrityError.
     """
     if not _N_MIN <= n <= _N_MAX:
         raise ValueError(f"n = {n} outside [{_N_MIN}, {_N_MAX}]")
@@ -188,12 +163,11 @@ def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
         return DetEvaluation(spec, s, n, 0.0, 1.0, True)
 
     # only the two blocks are kept: K and M are freed before the elimination
+    blocks = _fold(_nystrom(spec, s, n)[0])
     try:
-        results = _eliminate(_fold(_nystrom(spec, s, n)[0]))
-    except NotPositiveDefiniteError as e:
-        raise DetIntegrityError(
-            f"I - K not positive definite at s = {s}, n = {n}: {_BLOCKS[e.index]} block, {e}"
-        ) from None
+        results = log_det_lu(np.stack(blocks)) if n % 2 == 0 else [log_det_lu(b) for b in blocks]
+    except NotPositiveDefiniteError:
+        raise DetIntegrityError(f"I - K not positive definite at s = {s}, n = {n}") from None
     value, pivot_min = 0.0, math.inf
     for res in results:
         value += res.log_abs_det[0] + res.log_abs_det[1]
@@ -260,74 +234,49 @@ def _slope_agree(val: float, prev: float) -> bool:
     return abs(val - prev) <= _LADDER_TOL * max(1.0, abs(val))
 
 
-def _refused_block(blocks: np.ndarray) -> str:
-    """The block of a stack that a failed binary64 solve or Cholesky gate
-    names, by ``log_det``'s rule: the block whose own Cholesky factorization
-    fails at the earliest step, the even block on a tie or when neither
-    does.  A block's step is the order of its largest leading block that
-    factors, found by bisection: a leading block of a positive definite
-    matrix is positive definite."""
-    steps = []
-    for block in blocks:
-        lo, hi = 0, len(block) + 1   # the order-lo leading block factors, order hi does not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                np.linalg.cholesky(block[:mid, :mid])
-                lo = mid
-            except np.linalg.LinAlgError:
-                hi = mid
-        steps.append(lo)
-    return _BLOCKS[steps.index(min(steps))]
-
-
 def _solve(blocks: np.ndarray, rhs: np.ndarray, s: float, n: int) -> np.ndarray:
     """blocks^-1 rhs in binary64 for the (2, h, h) stack of ``_fold``'s
     blocks and the (2, h, k) stack of their right-hand sides: one solve
     and one Cholesky gate for both.  DetIntegrityError when a block is
     singular, its solution is not finite, or it is not positive definite
     (its binary64 Cholesky factorization fails), the rung ``log_det``
-    refuses; the error names the block, the first with a solution that is
-    not finite, else the one ``_refused_block`` names.  The ladder's orders
-    are even, so the two blocks have one order."""
+    refuses.  The ladder's orders are even, so the two blocks have one
+    order."""
     try:
         sol = np.linalg.solve(blocks, rhs)
     except np.linalg.LinAlgError as e:
-        raise DetIntegrityError(
-            f"I - K not solvable at s = {s}, n = {n}: {_refused_block(blocks)} block, {e}"
-        ) from None
-    finite = np.isfinite(sol).all(axis=(1, 2))
-    if not finite.all():
-        raise DetIntegrityError(f"I - K solve not finite at s = {s}, n = {n}: "
-                                f"{_BLOCKS[int(np.argmin(finite))]} block")
+        raise DetIntegrityError(f"I - K not solvable at s = {s}, n = {n}: {e}") from None
+    if not np.isfinite(sol).all():
+        raise DetIntegrityError(f"I - K solve not finite at s = {s}, n = {n}")
     try:
         np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
-        raise DetIntegrityError(
-            f"I - K not positive definite at s = {s}, n = {n}: {_refused_block(blocks)} block"
-        ) from None
+        raise DetIntegrityError(f"I - K not positive definite at s = {s}, n = {n}") from None
     return sol
+
+
+def _quad(m: np.ndarray, v: np.ndarray, s: float, n: int) -> float:
+    """2 tr(v^T M^-1 v) for an (n, k) array v on the nodes: the sum over
+    the two blocks of ``_fold`` and over the columns of v of each folded
+    part (``_fold_rows``) against its block's solve, one stacked solve."""
+    parts = _fold_rows(v)
+    sols = _solve(np.stack(_fold(m)), parts, s, n)
+    return sum(float(c @ y) for part, sol in zip(parts, sols) for c, y in zip(part.T, sol.T))
 
 
 def _ds_rung(spec: KernelSpec, s: float, n: int) -> float:
     """-2 R(s, s) at order n, with R(s, s) = K(s, s) + b^T M^-1 b,
     b = W^1/2 K(x., s), from one kernel assembly on the nodes and s; the
-    kernel is even, so R(-s, -s) = R(s, s).  2 b^T M^-1 b is the sum over
-    the two blocks of ``_fold`` of each folded part of b (``_fold_rows``)
-    against its block's solve."""
+    kernel is even, so R(-s, -s) = R(s, s)."""
     m, _, sq, k = _nystrom(spec, s, n, extra=[s])
-    parts = np.stack(_fold_rows(sq * k[:n, n]))
-    sols = _solve(np.stack(_fold(m)), parts[..., None], s, n)[..., 0]
-    quad = sum(float(b @ x) for b, x in zip(parts, sols))
-    return -(2.0 * float(k[n, n]) + quad)
+    return -(2.0 * float(k[n, n]) + _quad(m, sq[:, None] * k[:n, n:], s, n))
 
 
 def _dx_rung(spec: KernelSpec, s: float, n: int) -> float:
-    """-tr(M^-1 W^1/2 dK/dx W^1/2) at order n, summed over the blocks of
-    ``_fold``: dK/dx is even too, so it folds as M does."""
+    """-tr(M^-1 W^1/2 dK/dx W^1/2) = -tr(g^T M^-1 g) at order n, with
+    g = W^1/2 G and dK/dx = G G^T (``kernel_dx_factors``)."""
     m, xi, sq, _ = _nystrom(spec, s, n)
-    d = np.stack(_fold((sq[:, None] * sq[None, :]) * kernel_dx_matrix(spec, xi)))
-    return -sum(float(np.trace(x)) for x in _solve(np.stack(_fold(m)), d, s, n))
+    return -0.5 * _quad(m, sq[:, None] * kernel_dx_factors(spec, xi), s, n)
 
 
 def dlogdet_ds(spec: KernelSpec, s: float) -> float:

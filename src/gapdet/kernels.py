@@ -3,10 +3,9 @@ interface: the sine kernel, its cubic-phase generalization, and the kernel
 built from the Hastings-McLeod column.
 
 Every value is computed by ``kernel_matrix``, on a whole set of points at
-once; a single entry is read off it.  ``kernel_dx_matrix`` is dK/dx on
-the same points, for the x-slope of the determinant; the trig kernels
-build it from the same phase.  Evaluation conventions that matter
-numerically:
+once; a single entry is read off it.  ``kernel_dx_factors`` is the
+rank-two factor G of dK/dx = G G^T on the same points, for the x-slope
+of the determinant.  Evaluation conventions that matter numerically:
 
 * The trig kernels share one code path.  The phase is factored as
   (lambda - mu) * ((4/3) t (lambda^2 + mu^2 + lambda mu) + x), which kills
@@ -54,7 +53,7 @@ __all__ = [
     "KernelSpec",
     "PII",
     "Sine",
-    "kernel_dx_matrix",
+    "kernel_dx_factors",
     "kernel_matrix",
 ]
 
@@ -159,55 +158,11 @@ def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
         out[stray] = diag[n:]
         return out
 
-    # Built in place: at n = 256 each n x n temporary is 0.5 MB, and the
-    # assembly's peak is what a ladder's top rung adds to a process.
-    g, safe, near = _trig_phase(spec, pts)
-    np.sin(g, out=g)
-    safe *= math.pi
-    g /= safe
-    t, x = _trig_params(spec)
-    i, j = np.nonzero(near)
-    mid = 0.5 * (pts[i] + pts[j])
-    g[near] = (4.0 * t * mid * mid + x) / math.pi
-    return g
-
-
-def kernel_dx_matrix(spec: KernelSpec, points) -> np.ndarray:
-    """dK/dx sampled on points x points, vectorized, exactly symmetric.
-
-    For the trig kernels the phase is linear in x with slope lambda - mu,
-    so dK/dx = cos(Phi) / pi, and 1/pi on pairs inside the switch radius.
-    For the column-based kernel the x-equation of the Lax pair gives
-    dK/dx = Re(conj psi11(lambda) psi11(mu)) / pi, which has no quotient
-    and no diagonal special case; its columns are the ones
-    ``kernel_matrix`` marched on the same points, read from the cache, and
-    the values pass the same finiteness check.
-    """
-    pts = np.asarray(points, dtype=float)
-    if isinstance(spec, PII):
-        a = psi_columns(spec.field, pts)[:, 0]
-        dk = (np.outer(a.real, a.real) + np.outer(a.imag, a.imag)) / math.pi
-        return _finite(dk, "x-derivative")
-    g, _, near = _trig_phase(spec, pts)
-    np.cos(g, out=g)
-    g /= math.pi
-    g[near] = 1.0 / math.pi
-    return g
-
-
-def _trig_params(spec: KernelSpec) -> tuple:
-    return (spec.t if isinstance(spec, CubicSine) else 0.0), spec.x
-
-
-def _trig_phase(spec: KernelSpec, pts: np.ndarray) -> tuple:
-    """The trig kernels' phase Phi = |lambda - mu| g on points x points, with
-    the symmetric g of the module docstring, built in place.  Pairs inside
-    the switch radius get |lambda - mu| = 1, so their entry is g alone and
-    the caller overwrites it.  Returns (Phi, |lambda - mu|, near mask);
-    ValueError unless every point is finite."""
-    if not np.isfinite(pts).all():
-        raise ValueError(f"point {pts[~np.isfinite(pts)][0]} must be finite")
-    t, x = _trig_params(spec)
+    # The phase |lambda - mu| g of the module docstring, built in place: at
+    # n = 256 each n x n temporary is 0.5 MB, and the assembly's peak is
+    # what a ladder's top rung adds to a process.  Pairs inside the switch
+    # radius get |lambda - mu| = 1 and are overwritten.
+    t, x = _trig_params(spec, pts)
     d = pts[:, None] - pts[None, :]
     near = np.abs(d) < _TAYLOR_RADIUS
     sq = pts ** 2
@@ -218,4 +173,41 @@ def _trig_phase(spec: KernelSpec, pts: np.ndarray) -> tuple:
     safe = np.abs(d, out=d)
     safe[near] = 1.0
     g *= safe
-    return g, safe, near
+    np.sin(g, out=g)
+    safe *= math.pi
+    g /= safe
+    i, j = np.nonzero(near)
+    mid = 0.5 * (pts[i] + pts[j])
+    g[near] = (4.0 * t * mid * mid + x) / math.pi
+    return g
+
+
+def kernel_dx_factors(spec: KernelSpec, points) -> np.ndarray:
+    """The (m, 2) factor G of dK/dx = G G^T on m points, vectorized.
+
+    For the trig kernels the phase is linear in x with slope lambda - mu,
+    so dK/dx = cos(Phi) / pi = cos(theta(lambda) - theta(mu)) / pi with
+    theta = ((4/3) t lambda^2 + x) lambda, and G = [cos theta, sin theta]
+    / sqrt(pi).  For the column-based kernel the x-equation of the Lax
+    pair gives dK/dx = Re(conj psi11(lambda) psi11(mu)) / pi, and G =
+    [Re psi11, Im psi11] / sqrt(pi); its columns are the ones
+    ``kernel_matrix`` marched on the same points, read from the cache, and
+    the values pass the same finiteness check.  Neither has a quotient or
+    a diagonal special case.  theta is odd in lambda and psi11(-lambda) is
+    the conjugate of psi11(lambda), so on mirrored points column 0 is even
+    and column 1 odd, bit for bit.
+    """
+    pts = np.asarray(points, dtype=float)
+    if isinstance(spec, PII):
+        a = psi_columns(spec.field, pts)[:, 0]
+        return _finite(np.stack([a.real, a.imag], axis=1) / math.sqrt(math.pi), "x-derivative")
+    t, x = _trig_params(spec, pts)
+    theta = ((4.0 / 3.0) * t * pts ** 2 + x) * pts
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1) / math.sqrt(math.pi)
+
+
+def _trig_params(spec: KernelSpec, pts: np.ndarray) -> tuple:
+    """(t, x) of a trig kernel; ValueError unless every point is finite."""
+    if not np.isfinite(pts).all():
+        raise ValueError(f"point {pts[~np.isfinite(pts)][0]} must be finite")
+    return (spec.t if isinstance(spec, CubicSine) else 0.0), spec.x

@@ -66,15 +66,12 @@ _SPLITTER = 134217729.0
 
 
 class NotPositiveDefiniteError(ArithmeticError):
-    """Raised by log_det_lu at the first pivot that is not positive.
+    """Raised by log_det_lu at the first pivot that is not positive;
+    ``step`` is the elimination step of that pivot, the earliest across a
+    stack."""
 
-    ``step`` is the elimination step of that pivot and ``index`` the
-    position in the stack of its matrix (0 for a single matrix).
-    """
-
-    def __init__(self, step: int, index: int = 0):
+    def __init__(self, step: int):
         self.step = step
-        self.index = index
         super().__init__(f"pivot not positive at elimination step {step}")
 
 
@@ -332,13 +329,13 @@ def log_det_lu(matrix):
     matrix must be exactly symmetric; every update is a (hi, lo) pair in the
     lower trapezoid of a row slice, with the pivot row read from the pivot
     column.  A pivot whose hi word is not positive raises
-    NotPositiveDefiniteError, at the earliest step at which any matrix has
-    one and naming the first such matrix.  Each step forms one scalar dd
-    reciprocal per matrix of its pivot's binary64 mantissa on Python floats
-    and the multipliers from one vector dd_mul, so no multiplier overflows
-    a Dekker split.  Each matrix's product of pivots is carried in 40-digit
-    decimal, and its log det is one correctly rounded decimal ln of it,
-    split into a (hi, lo) pair.
+    NotPositiveDefiniteError at the earliest step at which any matrix has
+    one.  Each step forms one scalar dd reciprocal per matrix of its
+    pivot's binary64 mantissa on Python floats and the multipliers from
+    one vector dd_mul, so no multiplier overflows a Dekker split.  Each
+    matrix's product of pivots is carried in 40-digit decimal, and its log
+    det is one correctly rounded decimal ln of it, split into a (hi, lo)
+    pair.
     """
     ah = np.array(matrix, dtype=float)
     stacked = ah.ndim == 3
@@ -362,7 +359,7 @@ def log_det_lu(matrix):
             if not (math.isfinite(ph) and math.isfinite(pl)):
                 raise ValueError("the elimination overflowed binary64")
             if not ph > 0.0:
-                raise NotPositiveDefiniteError(k, b)
+                raise NotPositiveDefiniteError(k)
             pivs[b] = min(pivs[b], (ph, pl))
             prods[b] = _DEC.multiply(prods[b], _DEC.add(_DEC.create_decimal_from_float(ph),
                                                         _DEC.create_decimal_from_float(pl)))

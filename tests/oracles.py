@@ -16,13 +16,17 @@ form from the inputs we keep): harmless for cross-checks and large x, too
 coarse for determinants whose top eigenvalue sits within 1e-8 of 1.  It
 builds its own lambda-matrix, so it shares no code with the kernel
 diagonal's ``psi._lambda_derivative``.
+
+``dense_kernel_dx`` is dK/dx as a whole matrix, the form the x-slope used
+before it took the rank-two factor of ``kernel_dx_factors``.
 """
 
 import math
 
 import numpy as np
 
-from gapdet import PsiField, v_at
+from gapdet import CubicSine, PII, PsiField, psi_columns, v_at
+from gapdet.kernels import _TAYLOR_RADIUS
 from gapdet.psi import _GAUSS3, _check_lams, _march
 
 # The largest seed radius of the ray route, whose step count grows as R^2.
@@ -109,3 +113,28 @@ def psi_column_ray(field_: PsiField, lam: float, R: float = 8.0,
     for a, b in zip(points, points[1:]):
         phi = _ray_leg(field_, a, b, *phi)
     return np.array(phi) * np.exp(-1j * ((4.0 / 3.0) * lam ** 3 + field_.x * lam))
+
+
+def dense_kernel_dx(spec, points) -> np.ndarray:
+    """dK/dx on points x points: cos(Phi) / pi for the trig kernels, 1/pi on
+    pairs inside the switch radius, and Re(conj psi11(lambda) psi11(mu)) / pi
+    for PII."""
+    pts = np.asarray(points, dtype=float)
+    if isinstance(spec, PII):
+        a = psi_columns(spec.field, pts)[:, 0]
+        return (np.outer(a.real, a.real) + np.outer(a.imag, a.imag)) / math.pi
+    t = spec.t if isinstance(spec, CubicSine) else 0.0
+    d = pts[:, None] - pts[None, :]
+    near = np.abs(d) < _TAYLOR_RADIUS
+    sq = pts ** 2
+    g = sq[:, None] + sq[None, :]
+    g += pts[:, None] * pts[None, :]
+    g *= (4.0 / 3.0) * t
+    g += spec.x
+    safe = np.abs(d, out=d)
+    safe[near] = 1.0
+    g *= safe
+    np.cos(g, out=g)
+    g /= math.pi
+    g[near] = 1.0 / math.pi
+    return g

@@ -103,7 +103,8 @@ def test_verify_fcet_defaults_pass(capsys):
 def test_indefinite_rung_is_an_integrity_fault(capsys):
     code = main(["det", "--kernel", "csin", "--x", "1", "--s", "2.4", "--n", "32"])
     assert code == EXIT_INTEGRITY
-    assert "not positive definite at s = 2.4, n = 32: even block" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "gapdet: integrity: I - K not positive definite at s = 2.4, n = 32\n")
 
 
 def test_usage_errors(capsys):

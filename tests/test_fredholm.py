@@ -23,7 +23,9 @@ from gapdet import (
     log_det,
     log_det_converged,
 )
+from gapdet.fredholm import _dx_rung, _nystrom
 from gapdet.mpnum import LogDetResult, log_det_lu
+from oracles import dense_kernel_dx
 
 
 def test_empty_interval_is_exact():
@@ -290,36 +292,18 @@ def test_trust_band_edge_still_converges_for_trig():
 def test_indefinite_rungs_are_refused(hm):
     # At s = 2.4 the n = 32 rungs are under-resolved and their M has a
     # negative eigenvalue (-9.8e-7, -6.7e-8 and -9.8e-7), in both of its
-    # folded blocks: the elimination of the even block stops at its 12th
-    # pivot, that of the odd block at its 12th or 16th, so the error names
-    # the even block (the earlier step, or the tie) and the step, and the
-    # ladder skips the rung like any other that fails
+    # folded blocks; the error names the rung, and the ladder skips it like
+    # any other that fails.  At n = 33 the blocks differ in order and are
+    # eliminated one by one, and the rung is refused as well.
     specs = (CubicSine(t=1.0, x=1.0), PII(x=0.0, field=PsiField(x=0.0, hm=hm)),
              PII(x=1.0, field=PsiField(x=1.0, hm=hm)))
-    for spec in specs:
-        with pytest.raises(DetIntegrityError, match="not positive definite at s = 2.4, n = 32: "
-                           "even block, pivot not positive at elimination step 11"):
-            log_det(spec, 2.4, 32)
+    for spec, n in [(spec, 32) for spec in specs] + [(specs[0], 33), (specs[2], 33)]:
+        with pytest.raises(DetIntegrityError,
+                           match=f"^I - K not positive definite at s = 2.4, n = {n}$"):
+            log_det(spec, 2.4, n)
     ev = log_det_converged(specs[0], 2.4)
     assert ev.n == 256 and not ev.converged
     assert ev.log_det == log_det(specs[0], 2.4, 256).log_det
-
-
-def test_a_refusal_names_the_block_that_fails_first(hm):
-    # At odd n the middle node leads the even block, so at n = 33 its
-    # elimination fails a step later than at n = 32, and the odd block,
-    # failing at step 11, is named
-    for spec in (CubicSine(t=1.0, x=1.0), PII(x=1.0, field=PsiField(x=1.0, hm=hm))):
-        with pytest.raises(DetIntegrityError, match="not positive definite at s = 2.4, n = 33: "
-                           "odd block, pivot not positive at elimination step 11"):
-            log_det(spec, 2.4, 33)
-    # the slopes' Cholesky gate names a block by the same rule
-    ok, late, early = np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), np.diag([1.0, -1.0, 1.0, 1.0])
-    for blocks, name in (((ok, early), "odd"), ((late, early), "odd"), ((early, late), "even"),
-                         ((late, late), "even"), ((ok, ok), "even")):
-        assert gapdet.fredholm._refused_block(np.stack(blocks)) == name
-    with pytest.raises(DetIntegrityError, match="not positive definite at s = 1, n = 8: odd block"):
-        gapdet.fredholm._solve(np.stack([late, early]), np.ones((2, 4, 1)), 1, 8)
 
 
 def _recorded_rungs(mp, name):
@@ -348,12 +332,15 @@ def test_indefinite_slope_rungs_are_refused(hm, monkeypatch):
     # CubicSine(1, 1) there, against -376.50 and -38.96 at n = 64.  The
     # determinant ladder and both slope ladders skip the n = 32 rung and
     # refuse no other.
+    late, early = np.diag([1.0, 1.0, 1.0, -1.0]), np.diag([1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(DetIntegrityError, match="^I - K not positive definite at s = 1, n = 8$"):
+        gapdet.fredholm._solve(np.stack([late, early]), np.ones((2, 4, 1)), 1, 8)
     specs = (CubicSine(t=1.0, x=1.0), PII(x=0.0, field=PsiField(x=0.0, hm=hm)),
              PII(x=1.0, field=PsiField(x=1.0, hm=hm)))
     for spec in specs:
         for rung in (gapdet.fredholm._ds_rung, gapdet.fredholm._dx_rung):
             with pytest.raises(DetIntegrityError,
-                               match="not positive definite at s = 2.4, n = 32: even block"):
+                               match="^I - K not positive definite at s = 2.4, n = 32$"):
                 rung(spec, 2.4, 32)
         for name, ladder in (("log_det", log_det_converged), ("_ds_rung", dlogdet_ds),
                              ("_dx_rung", dlogdet_dx)):
@@ -550,6 +537,21 @@ def test_slope_noise_is_below_the_ladder_tolerance(hm):
 
     moves = [abs(a - b) for a, b in zip(slopes(hm), slopes(nudged))]
     assert max(moves) <= 1e-8
+
+
+def test_the_x_slope_rung_matches_the_dense_trace(hm):
+    # _dx_rung folds the rank-two factor of dK/dx; the reference is
+    # -tr(M^-1 W^1/2 D W^1/2) with the n x n D of ``dense_kernel_dx`` and
+    # the whole unfolded M.  Worst case 1.2e-10, CubicSine(1, 0) at n = 64.
+    cases = ((CubicSine(t=1.0, x=1.0), 2.0), (CubicSine(t=1.0, x=0.0), 2.2),
+             (PII(x=1.0, field=PsiField(x=1.0, hm=hm)), 2.0),
+             (PII(x=-1.0, field=PsiField(x=-1.0, hm=hm)), 2.0))
+    for spec, s in cases:
+        for n in (64, 128, 256):
+            m, xi, sq, _ = _nystrom(spec, s, n)
+            d = (sq[:, None] * sq[None, :]) * dense_kernel_dx(spec, xi)
+            want = -np.trace(np.linalg.solve(m, d))
+            assert abs(_dx_rung(spec, s, n) - want) <= 1e-9 * abs(want)
 
 
 def test_slopes_run_no_double_double_elimination(hm, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gapdet.psi
-from gapdet.kernels import kernel_dx_matrix
+from gapdet.kernels import kernel_dx_factors
 from gapdet import (
     CubicSine,
     KernelIntegrityError,
@@ -58,15 +58,20 @@ def test_kernels_are_symmetric_bitwise():
 def test_kernels_are_centrosymmetric_bitwise(hm):
     # Every kernel is even, K(-a, -b) = K(a, b), and on mirrored nodes the
     # matrix keeps it exactly off its diagonal, which the determinant's
-    # even/odd fold relies on; odd n and near-diagonal pairs included.
+    # even/odd fold relies on; odd n and near-diagonal pairs included.  The
+    # factor G of dK/dx has an even column 0 and an odd column 1.
     specs = (Sine(x=1.0), CubicSine(t=1.0, x=1.0), CubicSine(t=0.3, x=2.0),
              PII(x=1.0, field=PsiField(x=1.0, hm=hm)),
              PII(x=-4.0, field=PsiField(x=-4.0, hm=hm)))
     for spec in specs:
         for s, n in ((2.0, 32), (2.0, 33), (2.4, 64), (1e-5, 64)):
-            k = kernel_matrix(spec, s * gauss_legendre(n).nodes_f8)
+            pts = s * gauss_legendre(n).nodes_f8
+            k = kernel_matrix(spec, pts)
             off = ~np.eye(n, dtype=bool)
             assert np.array_equal(k[off], k[::-1, ::-1][off])
+            g = kernel_dx_factors(spec, pts)
+            assert np.array_equal(g[:, 0], g[::-1, 0])
+            assert np.array_equal(g[:, 1], -g[::-1, 1])
 
 
 def test_zero_t_collapses_to_the_plain_sine_kernel():
@@ -216,7 +221,7 @@ def test_parameter_validation(hm):
     # a point that is not finite, which PII refuses through its columns
     for spec in (Sine(x=1.0), CubicSine(t=1.0, x=1.0), PII(x=0.0, field=f)):
         for bad in (math.nan, math.inf, -math.inf):
-            for assemble in (kernel_matrix, kernel_dx_matrix):
+            for assemble in (kernel_matrix, kernel_dx_factors):
                 with pytest.raises(ValueError):
                     assemble(spec, [bad, 0.5])
 
@@ -249,17 +254,17 @@ def test_x_derivative_matches_a_difference_in_x(hm):
     )
     for make in makers:
         for x in (-1.0, 1.0):
-            got = kernel_dx_matrix(make(x), pts)
+            g = kernel_dx_factors(make(x), pts)
             fd = (kernel_matrix(make(x + h), pts) - kernel_matrix(make(x - h), pts)) / (2.0 * h)
-            assert np.array_equal(got, got.T)
-            assert np.max(np.abs(got - fd)) <= 3e-8
+            assert g.shape == (len(pts), 2)
+            assert np.max(np.abs(g @ g.T - fd)) <= 3e-8
 
 
 def test_x_derivative_zero_t_is_the_sine_kernels_bitwise():
     pts = np.linspace(-2.0, 2.0, 21)
-    got = kernel_dx_matrix(CubicSine(t=0.0, x=1.3), pts)
-    assert np.array_equal(got, kernel_dx_matrix(Sine(x=1.3), pts))
-    assert np.all(np.diagonal(got) == 1.0 / math.pi)
+    g = kernel_dx_factors(CubicSine(t=0.0, x=1.3), pts)
+    assert np.array_equal(g, kernel_dx_factors(Sine(x=1.3), pts))
+    assert np.max(np.abs(np.diagonal(g @ g.T) - 1.0 / math.pi)) <= 1e-16
 
 
 def test_poisoned_cache_is_caught_by_the_x_derivative(hm):
@@ -267,4 +272,4 @@ def test_poisoned_cache_is_caught_by_the_x_derivative(hm):
     psi_columns(f, [0.5])
     f.cache[0.5] = complex(np.nan, 0.0)
     with pytest.raises(KernelIntegrityError, match="x-derivative"):
-        kernel_dx_matrix(PII(x=1.0, field=f), np.array([0.5, 1.0]))
+        kernel_dx_factors(PII(x=1.0, field=f), np.array([0.5, 1.0]))
