@@ -117,6 +117,22 @@ def test_small_steps_stop_at_their_rounding_floor(hm):
         assert abs(sol.u_at(0.0) - hm.u_at(0.0)) <= 1e-12, (x_left, h)
 
 
+@pytest.mark.parametrize("x_left, x_right, h", [
+    (-8.0, 6.0, 0.01), (-8.0, 40.0, 0.01), (-40.0, 6.0, 0.01), (-40.0, 40.0, 0.01),
+    (-8.0, 6.0, 1e-4),
+    pytest.param(-8.0, 40.0, 1e-4, marks=pytest.mark.slow),
+    pytest.param(-40.0, 6.0, 1e-4, marks=pytest.mark.slow),
+    pytest.param(-40.0, 40.0, 1e-4, marks=pytest.mark.slow),
+])
+def test_accepted_box_corners_converge_in_plain_newton(x_left, x_right, h):
+    # Newton takes full steps with no damping or divergence watch; that is
+    # sound because windows across the accepted box converge from the
+    # default start in a few steps, which these corners pin
+    sol = solve_hm(x_left, x_right, h)
+    assert sol.iterations <= 5
+    assert np.min(sol.u) > 0.0
+
+
 def test_accessors_return_python_floats(hm):
     assert type(hm.u_at(1.0)) is float
     assert type(hm.u_x_at(1.0)) is float
@@ -234,9 +250,18 @@ def test_evaluation_outside_window_rejected(hm):
     tw_integral(hm, 7.0)
 
 
-def test_negated_start_is_detected_as_wrong_branch(hm, monkeypatch):
+def test_negated_start_converges_to_the_default_profile(hm, monkeypatch):
+    # plain Newton leaves a negated start for the positive branch (34 steps)
     monkeypatch.setattr(gapdet.painleve2, "_initial_guess", lambda x: -hm.u)
-    with pytest.raises(WrongBranchError):
+    assert np.max(np.abs(solve_hm().u - hm.u)) <= 1e-15
+
+
+def test_negated_airy_data_are_refused_after_convergence(monkeypatch):
+    # with -Ai at the right edge Newton converges to a profile dipping to
+    # -4.7e-8, which only the check on the converged profile catches
+    ai = gapdet.painleve2.airy_ai
+    monkeypatch.setattr(gapdet.painleve2, "airy_ai", lambda x: -ai(x))
+    with pytest.raises(WrongBranchError, match="converged to a non-positive branch"):
         solve_hm()
 
 
