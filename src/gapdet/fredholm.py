@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import psi
-from .kernels import CubicSine, KernelSpec, PII, Sine, kernel_dx_factors, kernel_matrix
+from .kernels import CubicSine, KernelSpec, PII, kernel_dx_factors, kernel_matrix
 from .mpnum import NotPositiveDefiniteError, gauss_legendre, log_det_lu
 
 __all__ = [
@@ -92,7 +92,7 @@ def _s_cap(spec: KernelSpec) -> float:
     0.358 for PII(x=-1) and 0.213 for CubicSine(1, 1) (0.208, 0.358 and
     0.208 for I - K eliminated whole), at log det -165, -98 and -165.
     """
-    if isinstance(spec, Sine) or (isinstance(spec, CubicSine) and spec.t == 0.0):
+    if isinstance(spec, CubicSine) and spec.t == 0.0:
         return 8.0
     return 2.4
 

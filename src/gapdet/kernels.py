@@ -7,19 +7,20 @@ once; a single entry is read off it.  ``kernel_dx_factors`` is the
 rank-two factor G of dK/dx = G G^T on the same points, for the x-slope
 of the determinant.  Evaluation conventions that matter numerically:
 
-* The trig kernels share one code path.  The phase is factored as
+* The sine kernel is not a separate formula: ``Sine(x)`` is the
+  ``CubicSine`` with t = 0, so the two are one kernel by construction.
+  The phase is factored as
   (lambda - mu) * ((4/3) t (lambda^2 + mu^2 + lambda mu) + x), which kills
-  the cancellation of the naive lambda^3 - mu^3 form, and the sine kernel
-  is the t = 0 member.  Since 0 * anything-finite is 0.0 and x + 0.0 is x,
-  CubicSine(t=0, x) is bit-for-bit the sine kernel; the determinant layer
-  relies on this.  Writing the ratio as sin(|d| g)/(pi |d|) with the
-  symmetric g makes K(lambda, mu) == K(mu, lambda) exact in floating point.
+  the cancellation of the naive lambda^3 - mu^3 form.  Writing the ratio
+  as sin(|d| g)/(pi |d|) with the symmetric g makes K(lambda, mu) ==
+  K(mu, lambda) exact in floating point.
 
 * Within |lambda - mu| < 1e-6 every variant switches to the diagonal
   formula at the midpoint: the direct quotients lose about six digits
   there while the kernels vary on scale 1, so the midpoint value is
   accurate to ~1e-12, far inside the 1e-9 continuity budget.  The
-  column-based kernel marches all such midpoints in one batch.
+  column-based kernel reads a diagonal entry off its node's own column
+  and marches the midpoints of the other such pairs in one batch.
 
 * The column-based kernel is real by construction: for real lambda the
   Lax pair gives psi21 = -i conj(psi11), so K is computed in real
@@ -65,17 +66,6 @@ class KernelIntegrityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Sine:
-    """sin(x(lambda - mu)) / (pi (lambda - mu))."""
-
-    x: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise ValueError(f"x = {self.x} must be finite")
-
-
-@dataclass(frozen=True)
 class CubicSine:
     """sin(Phi) / (pi (lambda - mu)) with the cubic phase interpolation.
 
@@ -93,6 +83,13 @@ class CubicSine:
             raise ValueError(f"x = {self.x} must be finite")
 
 
+class Sine(CubicSine):
+    """sin(x (lambda - mu)) / (pi (lambda - mu)): the t = 0 CubicSine."""
+
+    def __init__(self, x: float):
+        super().__init__(0.0, x)
+
+
 @dataclass(frozen=True)
 class PII:
     """Im(conj psi11(lambda) psi11(mu)) / (pi (lambda - mu))."""
@@ -107,7 +104,7 @@ class PII:
             )
 
 
-KernelSpec = Union[Sine, CubicSine, PII]
+KernelSpec = Union[CubicSine, PII]
 
 
 def _finite(vals: np.ndarray, where: str) -> np.ndarray:
@@ -132,31 +129,26 @@ def kernel_matrix(spec: KernelSpec, points) -> np.ndarray:
     The column-based variant reads its columns through ``psi_columns``,
     which marches the uncached |lambda| in one batch; inside a ladder the first
     two rungs' nodes are already cached, and a higher rung's are marched
-    here.  Off-diagonal pairs closer than the switch radius take the
-    diagonal value at their midpoint, and all those midpoints are marched
-    in a second batch.
+    here.  Every pair closer than the switch radius takes the diagonal
+    value at its midpoint: a point's own value on the diagonal, and one
+    second batch for the off-diagonal ones.
     """
     pts = np.asarray(points, dtype=float)
     if isinstance(spec, PII):
-        n = len(pts)
         a, diag = _columns_and_diagonal(spec.field, pts)
         d = pts[:, None] - pts[None, :]
         near = np.abs(d) < _TAYLOR_RADIUS
-        mid = 0.5 * (pts[:, None] + pts[None, :])
         num = a.real[:, None] * a.imag[None, :]
         num = num - num.T
         with np.errstate(divide="ignore", invalid="ignore"):
             k = num / (math.pi * d)
         _finite(k[~near], "matrix")
-        out = np.where(near, 0.0, k)
-        stray = near & ~np.eye(n, dtype=bool)
+        i, j = np.nonzero(near)
+        vals, stray = diag[i], i != j
         if stray.any():
-            mids, inv = np.unique(mid[stray], return_inverse=True)
-            diag = np.concatenate([diag, _columns_and_diagonal(spec.field, mids)[1][inv]])
-        diag = _finite(diag, "diagonal")
-        np.fill_diagonal(out, diag[:n])
-        out[stray] = diag[n:]
-        return out
+            vals[stray] = _columns_and_diagonal(spec.field, 0.5 * (pts[i[stray]] + pts[j[stray]]))[1]
+        k[near] = _finite(vals, "diagonal")
+        return k
 
     # The phase |lambda - mu| g of the module docstring, built in place: at
     # n = 256 each n x n temporary is 0.5 MB, and the assembly's peak is
@@ -206,8 +198,8 @@ def kernel_dx_factors(spec: KernelSpec, points) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=1) / math.sqrt(math.pi)
 
 
-def _trig_params(spec: KernelSpec, pts: np.ndarray) -> tuple:
+def _trig_params(spec: CubicSine, pts: np.ndarray) -> tuple:
     """(t, x) of a trig kernel; ValueError unless every point is finite."""
     if not np.isfinite(pts).all():
         raise ValueError(f"point {pts[~np.isfinite(pts)][0]} must be finite")
-    return (spec.t if isinstance(spec, CubicSine) else 0.0), spec.x
+    return spec.t, spec.x

@@ -56,9 +56,6 @@ __all__ = [
     "dd_sub",
     "dd_mul",
     "dd_div",
-    "dd_add_f",
-    "dd_mul_f",
-    "dd_div_f",
 ]
 
 # Dekker splitting constant for binary64: 2**27 + 1.
@@ -126,47 +123,23 @@ def dd_sub(ah, al, bh, bl):
     return dd_add(ah, al, -bh, -bl)
 
 
-def dd_add_f(ah, al, b):
-    sh, se = two_sum(ah, b)
-    se = se + al
-    return quick_two_sum(sh, se)
-
-
 def dd_mul(ah, al, bh, bl):
     ph, pe = two_prod(ah, bh)
     pe = pe + (ah * bl + al * bh)
     return quick_two_sum(ph, pe)
 
 
-def dd_mul_f(ah, al, b):
-    ph, pe = two_prod(ah, b)
-    pe = pe + al * b
-    return quick_two_sum(ph, pe)
-
-
 def dd_div(ah, al, bh, bl):
     # Three-quotient long division; each correction is computed in dd.
     q1 = ah / bh
-    th, tl = dd_mul_f(bh, bl, q1)
+    th, tl = dd_mul(bh, bl, q1, 0.0)
     rh, rl = dd_sub(ah, al, th, tl)
     q2 = rh / bh
-    th, tl = dd_mul_f(bh, bl, q2)
+    th, tl = dd_mul(bh, bl, q2, 0.0)
     rh, rl = dd_sub(rh, rl, th, tl)
     q3 = rh / bh
     qh, ql = quick_two_sum(q1, q2)
-    return dd_add_f(qh, ql, q3)
-
-
-def dd_div_f(ah, al, b):
-    q1 = ah / b
-    th, tl = two_prod(b, q1)
-    rh, rl = dd_sub(ah, al, th, tl)
-    q2 = rh / b
-    th, tl = two_prod(b, q2)
-    rh, rl = dd_sub(rh, rl, th, tl)
-    q3 = rh / b
-    qh, ql = quick_two_sum(q1, q2)
-    return dd_add_f(qh, ql, q3)
+    return dd_add(qh, ql, q3, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +219,12 @@ def gauss_legendre(n: int) -> QuadratureRule:
     # P_{j+1} = a_j x P_j - b_j P_{j-1} with a_j = (2j+1)/(j+1), b_j = j/(j+1)
     # in dd; x is binary64, so a block of a_j x is one array call
     j = np.arange(1.0, n)
-    ah, al = dd_div_f(2.0 * j + 1.0, 0.0, j + 1.0)
-    bh, bl = dd_div_f(j, 0.0, j + 1.0)
+    ah, al = dd_div(2.0 * j + 1.0, 0.0, j + 1.0, 0.0)
+    bh, bl = dd_div(j, 0.0, j + 1.0, 0.0)
     qh, ql = np.ones_like(x), np.zeros_like(x)       # P_0
     ph, pl = x, np.zeros_like(x)                     # P_1
     for k0 in range(0, n - 1, _GL_ROWS):
-        axh, axl = dd_mul_f(ah[k0:k0 + _GL_ROWS, None], al[k0:k0 + _GL_ROWS, None], x)
+        axh, axl = dd_mul(ah[k0:k0 + _GL_ROWS, None], al[k0:k0 + _GL_ROWS, None], x, 0.0)
         for k in range(len(axh)):
             th, tl = dd_sub(*dd_mul(axh[k], axl[k], ph, pl),
                             *dd_mul(qh, ql, bh[k0 + k], bl[k0 + k]))
@@ -260,25 +233,25 @@ def gauss_legendre(n: int) -> QuadratureRule:
     # P' = n (P_{n-1} - x P_n) / (1 - x^2), and from Legendre's equation
     # (1 - x^2) P'' = 2x P' - n(n+1) P, (1 - x^2) P''' = 4x P'' + (2 - n(n+1)) P'
     nn = float(n * (n + 1))
-    omh, oml = dd_add_f(*two_prod(-x, x), 1.0)
-    dph, dpl = dd_div(*dd_mul_f(*dd_sub(qh, ql, *dd_mul_f(ph, pl, x)), float(n)), omh, oml)
-    d2h, d2l = dd_div(*dd_sub(*dd_mul_f(dph, dpl, 2.0 * x), *dd_mul_f(ph, pl, nn)), omh, oml)
+    omh, oml = dd_add(*two_prod(-x, x), 1.0, 0.0)
+    dph, dpl = dd_div(*dd_mul(*dd_sub(qh, ql, *dd_mul(ph, pl, x, 0.0)), float(n), 0.0), omh, oml)
+    d2h, d2l = dd_div(*dd_sub(*dd_mul(dph, dpl, 2.0 * x, 0.0), *dd_mul(ph, pl, nn, 0.0)), omh, oml)
     d3 = (4.0 * x * d2h + (2.0 - nn) * dph) / omh
 
     # Halley: x1 - x0 = -d - d^2 P'' / (2 P') to third order in d = P / P';
     # the second-order term is at most 1e-10 of d, so binary64 carries it
     dh, dl = dd_div(ph, pl, dph, dpl)
-    eh, el = dd_add_f(-dh, -dl, -dh * dh * d2h / (2.0 * dph))
-    xh, xl = dd_add_f(eh, el, x)
+    eh, el = dd_add(-dh, -dl, -dh * dh * d2h / (2.0 * dph), 0.0)
+    xh, xl = dd_add(eh, el, x, 0.0)
 
     # P'(x1) = P' + e P'' + (e^2 / 2) P''' with e = x1 - x0; e P'' reaches
     # 1e-10 of P' at the ends for n = 2000, so only the last term is binary64
     dph, dpl = dd_add(dph, dpl, *dd_mul(eh, el, d2h, d2l))
-    dph, dpl = dd_add_f(dph, dpl, 0.5 * eh * eh * d3)
+    dph, dpl = dd_add(dph, dpl, 0.5 * eh * eh * d3, 0.0)
     # 1 - x1^2 = (1 - x0^2) - e (2 x0 + e): the weight then belongs to x0 + e,
     # not to its rounding to a dd pair, which near +-1 moves it by
     # 2x / (1 - x^2) times a dd unit (3e-28 relative at n = 400)
-    omh, oml = dd_sub(omh, oml, *dd_mul(eh, el, *dd_add_f(eh, el, 2.0 * x)))
+    omh, oml = dd_sub(omh, oml, *dd_mul(eh, el, *dd_add(eh, el, 2.0 * x, 0.0)))
     den_h, den_l = dd_mul(omh, oml, *dd_mul(dph, dpl, dph, dpl))
     wh, wl = dd_div(2.0 * np.ones_like(xh), np.zeros_like(xh), den_h, den_l)
 

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from gapdet import CubicSine, PII, PsiField, psi_columns, v_at
+from gapdet import PII, PsiField, psi_columns, v_at
 from gapdet.kernels import _TAYLOR_RADIUS
 from gapdet.psi import _GAUSS3, _check_lams, _march
 
@@ -123,7 +123,7 @@ def dense_kernel_dx(spec, points) -> np.ndarray:
     if isinstance(spec, PII):
         a = psi_columns(spec.field, pts)[:, 0]
         return (np.outer(a.real, a.real) + np.outer(a.imag, a.imag)) / math.pi
-    t = spec.t if isinstance(spec, CubicSine) else 0.0
+    t = spec.t
     d = pts[:, None] - pts[None, :]
     near = np.abs(d) < _TAYLOR_RADIUS
     sq = pts ** 2

@@ -75,8 +75,9 @@ def test_kernels_are_centrosymmetric_bitwise(hm):
 
 
 def test_zero_t_collapses_to_the_plain_sine_kernel():
-    # One shared code path means exact equality, not approximate.
+    # Sine is the t = 0 CubicSine, so equality is exact, not approximate.
     s = Sine(x=1.3)
+    assert isinstance(s, CubicSine) and s.t == 0.0
     c = CubicSine(t=0.0, x=1.3)
     for a, b in ((0.2, -0.7), (1.5, 1.5000001), (-2.0, 2.0)):
         assert entry(c, a, b) == entry(s, a, b)
