@@ -10,17 +10,20 @@ on the even and on the odd vectors it acts as two blocks of order n/2
 det(odd), the even/odd split of the sine-kernel determinant (Gaudin
 1961).  So every rung eliminates two half-size blocks, a quarter of the
 work of eliminating M, and a PII rung marches its columns at the
-non-negative nodes only.  M is assembled in binary64 (the kernel itself
-is only good to ~1e-9 anyway), folded, and the blocks are eliminated in
-double-double, both in one stacked call at even n, the ladder's orders.
-That buys no accuracy: even at log det ~ -62 the smallest pivot is
-moderate (0.56 for PII at x = 1, s = 2, n = 256), so the binary64
-assembly sets the error.  A correlation kernel has 0 <= K < I, so a
-resolved M, and with it each block, is positive definite, and a rung with
-a block that is not is refused as under-resolved.  The double-double
-LDL^T stays until a binary64 factorization, trusted by the conditioning
-of I - K, replaces it; log det is the binary64 sum of the two words of
-each block's log det, and the ladder's gap is a binary64 difference.
+non-negative nodes only.  M is assembled in binary64 from kernel values
+of about that accuracy: the trig entries are rounding-level, apart from
+the ~1e-12 midpoint rule near the diagonal, and the PII columns agree with
+a DOP853 march to a few 1e-13 for x >= -1 (``psi``).  M is folded, and the
+blocks are eliminated in double-double, both in one stacked call at even
+n, the ladder's orders.  That buys no accuracy: even at log det ~ -62 the
+smallest pivot is moderate (0.56 for PII at x = 1, s = 2, n = 256), so
+the binary64 assembly sets the error.  A correlation kernel has
+0 <= K < I, so a resolved M, and with it each block, is positive
+definite, and a rung with a block that is not is refused as
+under-resolved.  The double-double LDL^T stays until a binary64
+factorization, trusted by the conditioning of I - K, replaces it; log
+det is the binary64 sum of the two words of each block's log det, and
+the ladder's gap is a binary64 difference.
 
 The slopes need no determinant, only one stacked binary64 solve with the
 same two blocks per rung, refused as the determinant's rung is when a

@@ -9,11 +9,11 @@ of the determinant.  Evaluation conventions that matter numerically:
 
 * The sine kernel is not a separate formula: ``Sine(x)`` is the
   ``CubicSine`` with t = 0, so the two are one kernel by construction.
-  The phase is factored as
-  (lambda - mu) * ((4/3) t (lambda^2 + mu^2 + lambda mu) + x), which kills
-  the cancellation of the naive lambda^3 - mu^3 form.  Writing the ratio
-  as sin(|d| g)/(pi |d|) with the symmetric g makes K(lambda, mu) ==
-  K(mu, lambda) exact in floating point.
+  The phase is factored as (lambda - mu) * ((4/3) t (lambda^2 + mu^2 +
+  lambda mu) + x), which kills the cancellation of the naive lambda^3 -
+  mu^3 form.  Writing the ratio as sin(|d| g)/(pi |d|) with the
+  symmetric g makes K(lambda, mu) == K(mu, lambda) exact in floating
+  point.
 
 * Within |lambda - mu| < 1e-6 every variant switches to the diagonal
   formula at the midpoint: the direct quotients lose about six digits
