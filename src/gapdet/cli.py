@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -51,15 +52,28 @@ EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
 EXIT_IO = 4
 
-# per formula: the kernel it is compared against, the --s list and --x, by
-# default; fcet's exponent lands in its band at x = 0 (5.78), not at 1 (5.09)
-_DEFAULTS = {
-    "dyson": ("sine", [4.0, 5.0, 6.0], 1.0),
-    "theorem1": ("pii", [1.6, 1.8, 2.0], 1.0),
-    "theorem2": ("csin", [1.6, 1.8, 2.0], 1.0),
-    "logsasy": ("pii", [2.0], 1.0),
-    "logxasy": ("pii", [2.0], 1.0),
-    "fcet": ("pii", [1.6, 1.8, 2.0, 2.1], 0.0),
+
+# One row per verify formula: the default kernel, --s list and --x; whether
+# the prediction reads the Painleve II solution; the slope computed at s
+# (None: log det; a slope reads no --n); the default tolerance at s; and the
+# prediction at s from the request and the solution.  Every callable looks
+# the library up through this module's names when it runs, so a tracer that
+# patches them sees each call.  fcet fits its exponent over the --s list
+# instead, and lands in its band at x = 0 (5.78), not at 1 (5.09).
+_Formula = namedtuple("_Formula", "kernel s x reads_sol slope tol predict")
+_FORMULAS = {
+    "dyson": _Formula("sine", [4.0, 5.0, 6.0], 1.0, False, None, lambda s: 0.25 / s,
+                      lambda c, s, sol: dyson_sine_prediction(s, c.x).value),
+    "theorem1": _Formula("pii", [1.6, 1.8, 2.0], 1.0, True, None, lambda s: 1.0,
+                         lambda c, s, sol: theorem1_prediction(s, c.x, sol).value),
+    "theorem2": _Formula("csin", [1.6, 1.8, 2.0], 1.0, False, None, lambda s: 1.0,
+                         lambda c, s, sol: theorem2_prediction(s, c.x).value),
+    "logsasy": _Formula("pii", [2.0], 1.0, False, lambda spec, s: dlogdet_ds(spec, s),
+                        lambda s: 0.5, lambda c, s, sol: logsasy_prediction(s, c.x)),
+    "logxasy": _Formula("pii", [2.0], 1.0, True, lambda spec, s: dlogdet_dx(spec, s),
+                        lambda s: 0.5,
+                        lambda c, s, sol: logxasy_prediction(s, c.x, v_at(sol, c.x))),
+    "fcet": _Formula("pii", [1.6, 1.8, 2.0, 2.1], 0.0, False, None, None, None),
 }
 
 _FCET_BAND = (5.5, 6.3)
@@ -70,7 +84,7 @@ class _UsageError(ValueError):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".17g")
@@ -123,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared(sub.add_parser("det", help="log det(I - K) table over s"), order)
     p_ver = sub.add_parser("verify", help="compare determinants against predictions")
     shared(p_ver, order)
-    p_ver.add_argument("--formula", choices=tuple(_DEFAULTS), required=True)
+    p_ver.add_argument("--formula", choices=tuple(_FORMULAS), required=True)
     p_ver.add_argument("--tol", type=float)
     p_dump = sub.add_parser("dump", help="dump solver internals as CSV/JSON")
     shared(p_dump, "kernel: quadrature order (default 16); psi: lambda samples (default 81)")
@@ -132,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solves_pii(cfg) -> bool:
-    return (cfg.kernel == "pii" or cfg.formula in ("theorem1", "logxasy")
+    return (cfg.kernel == "pii" or cfg.row is not None and cfg.row.reads_sol
             or cfg.what in ("hm", "psi"))
 
 
@@ -146,8 +160,9 @@ _REFUSALS = (
      "{c.tol} must be finite and non-negative"),
     ("--hm-window", "hm_window", lambda c: not _solves_pii(c),
      "applies only where Painleve II is solved: a pii kernel, --formula "
-     "theorem1 or logxasy, or dump --what hm or psi"),
-    ("--n", "n", lambda c: c.formula in ("logsasy", "logxasy"),
+     + " or ".join(f for f, row in _FORMULAS.items() if row.reads_sol)
+     + ", or dump --what hm or psi"),
+    ("--n", "n", lambda c: c.row is not None and c.row.slope is not None,
      "does not apply to --formula {c.formula}: the slopes choose their "
      "order on the ladder"),
     ("--n", "n", lambda c: c.what == "hm", "does not apply to --what hm"),
@@ -170,7 +185,8 @@ def _config(ns):
     for name in ("formula", "what", "tol"):
         vars(ns).setdefault(name, None)
     ns.hm_window = _parse_window(ns.hm_window) if ns.hm_window else (-10.0, 8.0, 0.002)
-    kernel, s_list, x = _DEFAULTS[ns.formula] if ns.formula else ("sine", [1.0], 1.0)
+    ns.row = _FORMULAS.get(ns.formula)
+    kernel, s_list, x = ns.row[:3] if ns.row else ("sine", [1.0], 1.0)
     ns.s = _parse_s_list(ns.s) if ns.s is not None else list(s_list)
     ns.kernel = ns.kernel or kernel
     ns.x = x if ns.x is None else ns.x
@@ -201,16 +217,7 @@ def _spec_for(cfg, sol):
     return PII(x=cfg.x, field=PsiField(x=cfg.x, hm=sol))
 
 
-def _norm(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
-
-
 def _render(cfg, header, rows) -> str:
-    rows = [tuple(_norm(v) for v in row) for row in rows]
     if cfg.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         return json.dumps({"command": cfg.command, "rows": payload}, indent=2) + "\n"
@@ -229,44 +236,17 @@ def cmd_det(cfg) -> tuple:
 
     def row(s):
         ev = _evaluate(cfg, _spec_for(cfg, sol), s)
-        return (s, ev.n, float(ev.log_det), ev.converged, float(ev.pivot_min))
+        return (s, ev.n, ev.log_det, ev.converged, ev.pivot_min)
 
     rows = [row(s) for s in cfg.s]
     return _render(cfg, ("s", "n", "log_det", "converged", "pivot_min"), rows), True
-
-
-def _verify_pair(cfg, sol, s: float) -> tuple:
-    """(computed, predicted) for one s under the configured formula."""
-    spec = _spec_for(cfg, sol)
-    f = cfg.formula
-    if f == "logsasy":
-        return dlogdet_ds(spec, s), logsasy_prediction(s, cfg.x)
-    if f == "logxasy":
-        return dlogdet_dx(spec, s), logxasy_prediction(s, cfg.x, v_at(sol, cfg.x))
-    computed = float(_evaluate(cfg, spec, s).log_det)
-    if f == "dyson":
-        return computed, dyson_sine_prediction(s, cfg.x).value
-    if f == "theorem2":
-        return computed, theorem2_prediction(s, cfg.x).value
-    return computed, theorem1_prediction(s, cfg.x, sol).value
-
-
-def _default_tol(cfg, s: float) -> float:
-    if cfg.tol is not None:
-        return cfg.tol
-    if cfg.formula == "dyson":
-        return 0.25 / s
-    if cfg.formula in ("theorem1", "theorem2"):
-        return 1.0
-    return 0.5
 
 
 def cmd_verify(cfg) -> tuple:
     sol = _solve(cfg)
 
     if cfg.formula == "fcet":
-        samples = [(s, float(_evaluate(cfg, _spec_for(cfg, sol), s).log_det))
-                   for s in cfg.s]
+        samples = [(s, _evaluate(cfg, _spec_for(cfg, sol), s).log_det) for s in cfg.s]
         exponent, _ = fcet_fit(samples)
         if cfg.tol is not None:
             ok = abs(exponent - 6.0) <= cfg.tol
@@ -274,11 +254,15 @@ def cmd_verify(cfg) -> tuple:
             ok = _FCET_BAND[0] <= exponent <= _FCET_BAND[1]
         rows = [(max(cfg.s), exponent, 6.0, abs(exponent - 6.0), ok)]
     else:
+        row = cfg.row
         rows = []
         for s in cfg.s:
-            computed, predicted = _verify_pair(cfg, sol, s)
+            spec = _spec_for(cfg, sol)
+            computed = row.slope(spec, s) if row.slope else _evaluate(cfg, spec, s).log_det
+            predicted = row.predict(cfg, s, sol)
             err = abs(computed - predicted)
-            rows.append((s, computed, predicted, err, err <= _default_tol(cfg, s)))
+            tol = row.tol(s) if cfg.tol is None else cfg.tol
+            rows.append((s, computed, predicted, err, err <= tol))
 
     all_ok = all(r[-1] for r in rows)
     return _render(cfg, ("s", "computed", "predicted", "abs_err", "pass"), rows), all_ok
@@ -305,8 +289,7 @@ def cmd_dump(cfg) -> tuple:
     pts = cfg.s[0] * gauss_legendre(n).nodes_f8
     mat = kernel_matrix(spec, pts)
     header = tuple(f"c{j}" for j in range(n))
-    rows = [tuple(float(v) for v in mat[i]) for i in range(n)]
-    return _render(cfg, header, rows), True
+    return _render(cfg, header, mat.tolist()), True
 
 
 def main(argv=None) -> int:
