@@ -54,26 +54,29 @@ EXIT_IO = 4
 
 
 # One row per verify formula: the default kernel, --s list and --x; whether
-# the prediction reads the Painleve II solution; the slope computed at s
-# (None: log det; a slope reads no --n); the default tolerance at s; and the
-# prediction at s from the request and the solution.  Every callable looks
-# the library up through this module's names when it runs, so a tracer that
-# patches them sees each call.  fcet fits its exponent over the --s list
-# instead, and lands in its band at x = 0 (5.78), not at 1 (5.09).
-_Formula = namedtuple("_Formula", "kernel s x reads_sol slope tol predict")
+# the prediction reads the Painleve II solution; whether it reaches t < 1
+# through ``_to_t1``, which t = 0 (the sine kernel) has no image under; the
+# slope computed at s (None: log det; a slope reads no --n); the default
+# tolerance at s; and the prediction at s from the request and the solution.
+# Every callable looks the library up through this module's names when it
+# runs, so a tracer that patches them sees each call.  fcet fits its
+# exponent over the --s list instead, and lands in its band at x = 0 (5.78),
+# not at 1 (5.09).
+_Formula = namedtuple("_Formula", "kernel s x reads_sol scaled slope tol predict")
 _FORMULAS = {
-    "dyson": _Formula("sine", [4.0, 5.0, 6.0], 1.0, False, None, lambda s: 0.25 / s,
+    "dyson": _Formula("sine", [4.0, 5.0, 6.0], 1.0, False, False, None, lambda s: 0.25 / s,
                       lambda c, s, sol: dyson_sine_prediction(s, c.x).value),
-    "theorem1": _Formula("pii", [1.6, 1.8, 2.0], 1.0, True, None, lambda s: 1.0,
+    "theorem1": _Formula("pii", [1.6, 1.8, 2.0], 1.0, True, False, None, lambda s: 1.0,
                          lambda c, s, sol: theorem1_prediction(s, c.x, sol).value),
-    "theorem2": _Formula("csin", [1.6, 1.8, 2.0], 1.0, False, None, lambda s: 1.0,
-                         lambda c, s, sol: theorem2_prediction(s, c.x).value),
-    "logsasy": _Formula("pii", [2.0], 1.0, False, lambda spec, s: dlogdet_ds(spec, s),
-                        lambda s: 0.5, lambda c, s, sol: logsasy_prediction(s, c.x)),
-    "logxasy": _Formula("pii", [2.0], 1.0, True, lambda spec, s: dlogdet_dx(spec, s),
+    "theorem2": _Formula("csin", [1.6, 1.8, 2.0], 1.0, False, True, None, lambda s: 1.0,
+                         lambda c, s, sol: theorem2_prediction(*_to_t1(c, s)).value),
+    "logsasy": _Formula("pii", [2.0], 1.0, False, True, lambda spec, s: dlogdet_ds(spec, s),
+                        lambda s: 0.5,
+                        lambda c, s, sol: c.t ** (1 / 3) * logsasy_prediction(*_to_t1(c, s))),
+    "logxasy": _Formula("pii", [2.0], 1.0, True, False, lambda spec, s: dlogdet_dx(spec, s),
                         lambda s: 0.5,
                         lambda c, s, sol: logxasy_prediction(s, c.x, v_at(sol, c.x))),
-    "fcet": _Formula("pii", [1.6, 1.8, 2.0, 2.1], 0.0, False, None, None, None),
+    "fcet": _Formula("pii", [1.6, 1.8, 2.0, 2.1], 0.0, False, False, None, None, None),
 }
 
 _FCET_BAND = (5.5, 6.3)
@@ -145,6 +148,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _to_t1(cfg, s: float) -> tuple:
+    """(s t^(1/3), x t^(-1/3)): lambda -> t^(-1/3) lambda takes CubicSine(t, x)
+    on (-s, s) to CubicSine(1, x t^(-1/3)) on (-s t^(1/3), s t^(1/3)), the
+    same determinant.  At t = 1 both come back unchanged, bit for bit."""
+    r = cfg.t ** (1 / 3)
+    return s * r, cfg.x / r
+
+
 def _solves_pii(cfg) -> bool:
     return (cfg.kernel == "pii" or cfg.row is not None and cfg.row.reads_sol
             or cfg.what in ("hm", "psi"))
@@ -156,6 +167,8 @@ def _solves_pii(cfg) -> bool:
 _REFUSALS = (
     ("--t", "t", lambda c: c.kernel != "csin", "applies to --kernel csin only"),
     ("--t", "t", lambda c: not 0.0 <= c.t <= 1.0, "{c.t} outside [0, 1]"),
+    ("--t", "t", lambda c: c.t == 0.0 and c.row is not None and c.row.scaled,
+     "{c.t} is the sine kernel, which --formula {c.formula} cannot scale to t = 1"),
     ("--tol", "tol", lambda c: not 0.0 <= c.tol < np.inf,
      "{c.tol} must be finite and non-negative"),
     ("--hm-window", "hm_window", lambda c: not _solves_pii(c),

@@ -82,6 +82,22 @@ def test_verify_slope_formula_with_trig_kernel(capsys):
     assert float(row[3]) <= 0.5
 
 
+def test_verify_scales_t_onto_the_t_one_formulas(capsys):
+    # theorem2 and logsasy are t = 1 formulas; at t = 0.5 they are judged at
+    # (s t^(1/3), x t^(-1/3)), where CubicSine(t, x) has the same determinant
+    # (tests/test_fredholm.py).  Unscaled they missed by 40.1 and 112;
+    # scaled, by 5.5e-2 and 4.7e-2.  t = 0 is the sine kernel, which has no
+    # t = 1 image, so it is refused.
+    for formula in ("theorem2", "logsasy"):
+        argv = ["verify", "--formula", formula, "--kernel", "csin", "--x", "1", "--s", "2.0"]
+        code, out = run(capsys, argv + ["--t", "0.5"])
+        assert code == EXIT_OK
+        assert float(out.strip().split("\n")[1].split(",")[3]) <= 0.1
+        assert main(argv + ["--t", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("gapdet: --t ")
+
+
 def test_verify_exponent_fit_with_trig_kernel(capsys):
     code, out = run(capsys, ["verify", "--formula", "fcet", "--kernel", "csin", "--x", "0.0"])
     assert code == EXIT_OK

@@ -105,6 +105,20 @@ def test_zero_t_determinants_match_sine_bitwise():
         assert a.pivot_min == b.pivot_min
 
 
+def test_cubic_family_scales_onto_t_one():
+    # lambda -> t^(-1/3) lambda takes CubicSine(t, x) on (-s, s) to
+    # CubicSine(1, x t^(-1/3)) on (-s t^(1/3), s t^(1/3)), the identity that
+    # lets verify judge theorem2 and logsasy at t < 1.  Measured gaps: 1.6e-13,
+    # 2.2e-16 and 0.  Not at (0.973, 1.996, 2.034): there log det is -87 and
+    # the gap (4.4e-9 at n = 128) measures how ill-conditioned M is.
+    for t, x, s in ((0.5, 1.0, 2.0), (0.125, -1.0, 2.4), (0.3, 0.0, 1.0)):
+        r = t ** (1 / 3)
+        for n in (64, 128):
+            a = log_det(CubicSine(t=t, x=x), s, n).log_det
+            b = log_det(CubicSine(t=1.0, x=x / r), s * r, n).log_det
+            assert abs(a - b) <= 1e-12
+
+
 def test_top_rung_peak_memory_stays_small():
     # Assembly and elimination at n = 256 hold a few n x n arrays (0.5 MB
     # each) at a time, and the elimination only two n/2 x n/2 blocks: the
