@@ -19,6 +19,11 @@ diagonal's ``psi._lambda_derivative``.
 
 ``dense_kernel_dx`` is dK/dx as a whole matrix, the form the x-slope used
 before it took the rank-two factor of ``kernel_dx_factors``.
+
+``log_f2`` is log F2(x), the Tracy-Widom GUE distribution, as the Airy
+kernel determinant on (x, inf): it shares no code with ``solve_hm``, and
+-log F2(x) is the Hastings-McLeod moment integral (Tracy & Widom, Commun.
+Math. Phys. 159, 1994).
 """
 
 import math
@@ -138,3 +143,26 @@ def dense_kernel_dx(spec, points) -> np.ndarray:
     g /= math.pi
     g[near] = 1.0 / math.pi
     return g
+
+
+def log_f2(x: float, n: int) -> float:
+    """log det(I - K_Ai) on (x, inf) by binary64 Nystrom on the nodes
+    t = x + 6 tan(pi (z + 1) / 4) of the n-point Gauss-Legendre rule in z,
+    with K_Ai(a, b) = (Ai(a) Ai'(b) - Ai'(a) Ai(b)) / (a - b), its diagonal
+    Ai'(a)^2 - a Ai(a)^2, and Ai from ``scipy.special.airy``."""
+    from scipy.special import airy
+
+    z, w = np.polynomial.legendre.leggauss(n)
+    phi = math.pi * (z + 1.0) / 4.0
+    t = x + 6.0 * np.tan(phi)
+    w = w * (1.5 * math.pi) / np.cos(phi) ** 2
+    ai, aip, _, _ = airy(t)
+    d = t[:, None] - t[None, :]
+    np.fill_diagonal(d, 1.0)
+    k = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / d
+    np.fill_diagonal(k, aip ** 2 - t * ai ** 2)
+    sq = np.sqrt(w)
+    sign, value = np.linalg.slogdet(np.eye(n) - sq[:, None] * k * sq[None, :])
+    if sign != 1.0:
+        raise ValueError(f"det(I - K_Ai) on ({x}, inf) is not positive at n = {n}")
+    return float(value)

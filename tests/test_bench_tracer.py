@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -76,3 +78,39 @@ def test_tracer_counts_ladders_on_a_shared_field(hm):
     assert fresh == [48, 112]
     shared = PsiField(x=1.0, hm=hm)
     assert marched([(shared, 1.8), (shared, 2.0)]) == sum(fresh)
+
+
+# one cheap verify request per formula, and the spans it must open
+_TRACED_REQUESTS = {
+    "dyson": ("--s 4", {"asympt.dyson_sine_prediction", "fredholm.log_det_converged"}),
+    "theorem1": ("--s 1.0", {"asympt.theorem1_prediction", "fredholm.log_det_converged",
+                             "painleve2.solve_hm"}),
+    "theorem2": ("--s 1.6", {"asympt.theorem2_prediction", "fredholm.log_det_converged"}),
+    "logsasy": ("--kernel csin --s 1.0", {"asympt.logsasy_prediction", "fredholm.dlogdet_ds"}),
+    "logxasy": ("--s 1.0", {"asympt.logxasy_prediction", "fredholm.dlogdet_dx",
+                            "painleve2.solve_hm"}),
+    "fcet": ("--kernel csin", {"asympt.fcet_fit", "fredholm.log_det_converged"}),
+}
+
+
+@pytest.mark.parametrize("formula", _TRACED_REQUESTS)
+def test_traced_cli_reaches_the_library(capsys, formula):
+    # The tracer patches gapdet.cli's module-level names after import, so a
+    # verify request sees the patched slopes and predictions only if it
+    # looks them up when it runs; a function object stored at import would
+    # drop those spans from a traced cli_slopes run without an error.
+    flags, spans = _TRACED_REQUESTS[formula]
+    tracer_mod = _load_tracer()
+    from gapdet import cli
+
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify", "--formula", formula, *flags.split()])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == cli.EXIT_OK
+    names = {sp["name"] for sp in tracer.spans}
+    assert spans <= names
+    assert ("painleve2.solve_hm" in names) == ("painleve2.solve_hm" in spans)

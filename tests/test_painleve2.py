@@ -19,6 +19,7 @@ from gapdet.painleve2 import (
     v_at,
 )
 from gapdet.specfun import airy_ai
+from oracles import log_f2
 
 mpmath.mp.dps = 30
 
@@ -206,6 +207,16 @@ def test_moment_functional_against_quadrature_oracle(hm, shooting_hm):
     body, _ = quad(lambda y: y * shooting_hm.u_at(y) ** 2, 0.0, 8.0, limit=200, epsabs=1e-13)
     assert abs(tw_integral(hm, 0.0) - (body + tail)) <= 1e-9
     assert abs(tw_integral(hm, 0.0) - 0.031105985306311295) <= 1e-9
+
+
+def test_moment_functional_is_minus_log_f2(hm):
+    # I(x) = -log F2(x) (Tracy & Widom 1994), and the Airy-kernel determinant
+    # shares no code with solve_hm.  Measured gaps at n = 240: 9.5e-14,
+    # 1.2e-15, 1.5e-16 and 1.2e-16.  n = 240 is pinned: at n = 160 the gap at
+    # x = -4 is 3.9e-13, and at n = 320 it grows again, to 3.0e-12, as the
+    # oracle's own binary64 rounding takes over.
+    for x in (-4.0, -2.0, 0.0, 2.0):
+        assert abs(tw_integral(hm, x) + log_f2(x, 240)) <= 1e-12
 
 
 def test_moment_functional_shape(hm):
