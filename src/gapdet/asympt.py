@@ -100,7 +100,7 @@ def dyson_sine_prediction(s: float, x: float) -> AsymptoticPrediction:
         leading=lead,
         constant=_DYSON,
         tw_term=0.0,
-        formula_id="dyson_sine",
+        formula_id="dyson",
     )
 
 

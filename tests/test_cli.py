@@ -1,13 +1,31 @@
 """Command-line surface: parsing, rendering, exit codes, determinism."""
 
+import argparse
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from gapdet import CubicSine, Sine, log_det, log_det_converged
-from gapdet.cli import EXIT_INTEGRITY, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from gapdet import (
+    CubicSine,
+    Sine,
+    dyson_sine_prediction,
+    log_det,
+    log_det_converged,
+    theorem1_prediction,
+    theorem2_prediction,
+)
+from gapdet.cli import (
+    EXIT_INTEGRITY,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAIL,
+    _FORMULAS,
+    _build_parser,
+    main,
+)
 
 
 def run(capsys, argv):
@@ -237,8 +255,25 @@ def test_dump_kernel_grid_is_symmetric(capsys):
             assert rows[i][j] == rows[j][i]
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_one_name_per_formula(hm):
+    # the README's Predictions table, the CLI's table and --formula choices,
+    # and the library's formula_id all name each formula the same way
+    table = _readme().split("## Predictions", 1)[1].split("\n\n")[2]
+    readme_ids = [ln.split("|")[1].strip().strip("`") for ln in table.splitlines()[2:]]
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (formula,) = [a for a in sub.choices["verify"]._actions if a.dest == "formula"]
+    assert sorted(readme_ids) == sorted(_FORMULAS) == sorted(formula.choices)
+    preds = (dyson_sine_prediction(4.0, 1.0), theorem1_prediction(2.0, 1.0, hm),
+             theorem2_prediction(2.0, 1.0))
+    assert {p.formula_id for p in preds} <= set(readme_ids)
+
+
 def _readme_command_lines():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = _readme()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("gapdet ")]
 
