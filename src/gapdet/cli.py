@@ -53,15 +53,23 @@ EXIT_INTEGRITY = 3
 EXIT_IO = 4
 
 
+def _to_t1(cfg, s: float) -> tuple:
+    """(s t^(1/3), x t^(-1/3)): lambda -> t^(-1/3) lambda takes CubicSine(t, x)
+    on (-s, s) to CubicSine(1, x t^(-1/3)) on (-s t^(1/3), s t^(1/3)), the
+    same determinant.  At t = 1 both come back unchanged, bit for bit."""
+    r = cfg.t ** (1 / 3)
+    return s * r, cfg.x / r
+
+
 # One row per verify formula: the default kernel, --s list and --x; whether
 # the prediction reads the Painleve II solution; whether it reaches t < 1
-# through ``_to_t1``, which t = 0 (the sine kernel) has no image under; the
-# slope computed at s (None: log det; a slope reads no --n); the default
-# tolerance at s; and the prediction at s from the request and the solution.
-# Every callable looks the library up through this module's names when it
-# runs, so a tracer that patches them sees each call.  fcet fits its
-# exponent over the --s list instead, and lands in its band at x = 0 (5.78),
-# not at 1 (5.09).
+# through ``_to_t1`` (t = 0, the sine kernel, has no t = 1 image and is
+# refused); the slope computed at s (None: log det; a slope reads no --n);
+# the default tolerance at s; and the prediction at s from the request and
+# the solution.  Every callable looks the library up through this module's
+# names when it runs, so a tracer that patches them sees each call.  fcet
+# fits its exponent over the --s list instead, and lands in its band at
+# x = 0 (5.78), not at 1 (5.09).
 _Formula = namedtuple("_Formula", "kernel s x reads_sol scaled slope tol predict")
 _FORMULAS = {
     "dyson": _Formula("sine", [4.0, 5.0, 6.0], 1.0, False, False, None, lambda s: 0.25 / s,
@@ -146,14 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared(p_dump, "kernel: quadrature order (default 16); psi: lambda samples (default 81)")
     p_dump.add_argument("--what", choices=("hm", "psi", "kernel"), required=True)
     return ap
-
-
-def _to_t1(cfg, s: float) -> tuple:
-    """(s t^(1/3), x t^(-1/3)): lambda -> t^(-1/3) lambda takes CubicSine(t, x)
-    on (-s, s) to CubicSine(1, x t^(-1/3)) on (-s t^(1/3), s t^(1/3)), the
-    same determinant.  At t = 1 both come back unchanged, bit for bit."""
-    r = cfg.t ** (1 / 3)
-    return s * r, cfg.x / r
 
 
 def _solves_pii(cfg) -> bool:
