@@ -25,18 +25,20 @@ factorization, trusted by the conditioning of I - K, replaces it; log
 det is the binary64 sum of the two words of each block's log det, and
 the ladder's gap is a binary64 difference.
 
-The slopes need no determinant, only one stacked binary64 solve with the
-same two blocks per rung, refused as the determinant's rung is when a
-stacked binary64 Cholesky factorization finds a block not positive
-definite (Tracy and Widom 1994; Bornemann 2010):
+The slopes need no determinant, only one stacked binary64 Cholesky
+factorization of the same two blocks per rung, block = L L^T.  The factor
+gates the rung, refused as the determinant's is when it finds a block not
+positive definite, and gives its number (Tracy and Widom 1994; Bornemann
+2010):
 
     d/ds log det = -(R(s, s) + R(-s, -s)) = -2 R(s, s),
     d/dx log det = -tr((I - K)^-1 dK/dx),
 
 R = K (I - K)^-1 the resolvent, even as K is.  R(s, s) = K(s, s) +
 b^T M^-1 b with b_i = sqrt(w_i) K(x_i, s), and dK/dx = G G^T has rank
-two, so the trace is tr(g^T M^-1 g) with g = W^1/2 G; the even and odd
-parts of b and of g meet their own block's solve.  They run on the
+two, so the trace is tr(g^T M^-1 g) with g = W^1/2 G.  Each quadratic
+form is |L^-1 p|^2 summed over the two blocks, p the even or odd part of b
+or of g, so one solve with L per block gives it.  They run on the
 determinant's ladder, whose gap test for a slope is relative: successive
 rungs agree within 1e-8 max(1, |slope|), which at |d/ds| = 162 (PII,
 x = 1, s = 2) is the rounding floor of the solve.
@@ -237,34 +239,21 @@ def _slope_agree(val: float, prev: float) -> bool:
     return abs(val - prev) <= _LADDER_TOL * max(1.0, abs(val))
 
 
-def _solve(blocks: np.ndarray, rhs: np.ndarray, s: float, n: int) -> np.ndarray:
-    """blocks^-1 rhs in binary64 for the (2, h, h) stack of ``_fold``'s
-    blocks and the (2, h, k) stack of their right-hand sides: one solve
-    and one Cholesky gate for both.  DetIntegrityError when a block is
-    singular, its solution is not finite, or it is not positive definite
-    (its binary64 Cholesky factorization fails), the rung ``log_det``
-    refuses.  The ladder's orders are even, so the two blocks have one
-    order."""
+def _quad(m: np.ndarray, v: np.ndarray, s: float, n: int) -> float:
+    """2 tr(v^T M^-1 v) for an (n, k) array v on the nodes: |L^-1 p|^2
+    summed over the two blocks of ``_fold`` (even n), block = L L^T, and
+    over the columns p of their parts (``_fold_rows``).  A block that the
+    stacked Cholesky factorization finds not positive definite, or a sum
+    that is not finite, raises DetIntegrityError.  numpy has no triangular
+    solve, so a general one with L stands in."""
     try:
-        sol = np.linalg.solve(blocks, rhs)
-    except np.linalg.LinAlgError as e:
-        raise DetIntegrityError(f"I - K not solvable at s = {s}, n = {n}: {e}") from None
-    if not np.isfinite(sol).all():
-        raise DetIntegrityError(f"I - K solve not finite at s = {s}, n = {n}")
-    try:
-        np.linalg.cholesky(blocks)
+        value = float(np.sum(np.linalg.solve(np.linalg.cholesky(np.stack(_fold(m))),
+                                             _fold_rows(v)) ** 2))
     except np.linalg.LinAlgError:
         raise DetIntegrityError(f"I - K not positive definite at s = {s}, n = {n}") from None
-    return sol
-
-
-def _quad(m: np.ndarray, v: np.ndarray, s: float, n: int) -> float:
-    """2 tr(v^T M^-1 v) for an (n, k) array v on the nodes: the sum over
-    the two blocks of ``_fold`` and over the columns of v of each folded
-    part (``_fold_rows``) against its block's solve, one stacked solve."""
-    parts = _fold_rows(v)
-    sols = _solve(np.stack(_fold(m)), parts, s, n)
-    return sum(float(c @ y) for part, sol in zip(parts, sols) for c, y in zip(part.T, sol.T))
+    if not math.isfinite(value):
+        raise DetIntegrityError(f"I - K solve not finite at s = {s}, n = {n}")
+    return value
 
 
 def _ds_rung(spec: KernelSpec, s: float, n: int) -> float:
@@ -286,9 +275,9 @@ def dlogdet_ds(spec: KernelSpec, s: float) -> float:
     """d/ds log det(I - K) = -(R(s, s) + R(-s, -s)) = -2 R(s, s), R the
     resolvent kernel.
 
-    Each rung is one binary64 solve with each folded block of ``log_det``;
-    the ladder stops when successive rungs agree within 1e-8 relative to
-    max(1, |slope|).  At s = 0 this is -2 K(0, 0).
+    Each rung is one binary64 Cholesky factorization of the folded blocks
+    of ``log_det``; the ladder stops when successive rungs agree within
+    1e-8 relative to max(1, |slope|).  At s = 0 this is -2 K(0, 0).
     """
     return _ladder(spec, s, _ds_rung, _slope_agree, extra=(s,))[0]
 

@@ -23,7 +23,7 @@ from gapdet import (
     log_det,
     log_det_converged,
 )
-from gapdet.fredholm import _dx_rung, _nystrom
+from gapdet.fredholm import _dx_rung, _nystrom, _quad
 from gapdet.mpnum import LogDetResult, log_det_lu
 from oracles import dense_kernel_dx
 
@@ -355,15 +355,18 @@ def _recorded_rungs(mp, name):
 
 
 def test_indefinite_slope_rungs_are_refused(hm, monkeypatch):
-    # The slopes' binary64 solves are gated by a Cholesky factorization of
-    # each folded block, so the rungs the determinant refuses give no slope
-    # either; the solve alone returns d/ds -305.65 and d/dx -26.19 for
-    # CubicSine(1, 1) there, against -376.50 and -38.96 at n = 64.  The
-    # determinant ladder and both slope ladders skip the n = 32 rung and
-    # refuse no other.
-    late, early = np.diag([1.0, 1.0, 1.0, -1.0]), np.diag([1.0, -1.0, 1.0, 1.0])
-    with pytest.raises(DetIntegrityError, match="^I - K not positive definite at s = 1, n = 8$"):
-        gapdet.fredholm._solve(np.stack([late, early]), np.ones((2, 4, 1)), 1, 8)
+    # The slopes' quadratic forms come from a Cholesky factor of each folded
+    # block, so the rungs the determinant refuses give no slope either; an
+    # LU solve alone returns d/ds -305.65 and d/dx -26.19 for CubicSine(1, 1)
+    # there, against -376.50 and -38.96 at n = 64.  The determinant ladder
+    # and both slope ladders skip the n = 32 rung and refuse no other.  M =
+    # I + J diag(d, reversed) folds to the blocks I + diag(d) and I - diag(d):
+    # a negative pivot late in the even block, then early in the odd one.
+    for d in ((0.0, 0.0, 0.0, -2.0), (0.0, 2.0, 0.0, 0.0)):
+        m = np.eye(8) + np.fliplr(np.diag(np.concatenate([d[::-1], d])))
+        with pytest.raises(DetIntegrityError,
+                           match="^I - K not positive definite at s = 1, n = 8$"):
+            _quad(m, np.ones((8, 1)), 1, 8)
     specs = (CubicSine(t=1.0, x=1.0), PII(x=0.0, field=PsiField(x=0.0, hm=hm)),
              PII(x=1.0, field=PsiField(x=1.0, hm=hm)))
     for spec in specs:
@@ -602,7 +605,7 @@ def test_slope_rung_integrity(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(np.linalg, "solve", singular)
         for slope in (dlogdet_ds, dlogdet_dx):
-            with pytest.raises(DetIntegrityError, match="not solvable"):
+            with pytest.raises(DetIntegrityError, match="not positive definite"):
                 slope(Sine(x=1.0), 0.5)
     monkeypatch.setattr(gapdet.fredholm, "kernel_matrix",
                         lambda spec, pts: np.full((len(pts), len(pts)), np.nan))
