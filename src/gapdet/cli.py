@@ -81,9 +81,10 @@ _FORMULAS = {
     "logsasy": _Formula("pii", [2.0], 1.0, False, True, lambda spec, s: dlogdet_ds(spec, s),
                         lambda s: 0.5,
                         lambda c, s, sol: c.t ** (1 / 3) * logsasy_prediction(*_to_t1(c, s))),
-    "logxasy": _Formula("pii", [2.0], 1.0, True, False, lambda spec, s: dlogdet_dx(spec, s),
+    "logxasy": _Formula("pii", [2.0], 1.0, True, True, lambda spec, s: dlogdet_dx(spec, s),
                         lambda s: 0.5,
-                        lambda c, s, sol: logxasy_prediction(s, c.x, v_at(sol, c.x))),
+                        lambda c, s, sol: c.t ** (-1 / 3) * logxasy_prediction(
+                            *_to_t1(c, s), v_at(sol, _to_t1(c, s)[1]))),
     "fcet": _Formula("pii", [1.6, 1.8, 2.0, 2.1], 0.0, False, False, None, None, None),
 }
 

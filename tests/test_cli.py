@@ -101,12 +101,13 @@ def test_verify_slope_formula_with_trig_kernel(capsys):
 
 
 def test_verify_scales_t_onto_the_t_one_formulas(capsys):
-    # theorem2 and logsasy are t = 1 formulas; at t = 0.5 they are judged at
-    # (s t^(1/3), x t^(-1/3)), where CubicSine(t, x) has the same determinant
-    # (tests/test_fredholm.py).  Unscaled they missed by 40.1 and 112;
-    # scaled, by 5.5e-2 and 4.7e-2.  t = 0 is the sine kernel, which has no
-    # t = 1 image, so it is refused.
-    for formula in ("theorem2", "logsasy"):
+    # theorem2, logsasy and logxasy are t = 1 formulas; at t = 0.5 they are
+    # judged at (s t^(1/3), x t^(-1/3)), where CubicSine(t, x) has the same
+    # determinant (tests/test_fredholm.py).  Unscaled they missed by 40.1,
+    # 112 and 7.99; scaled, by 5.5e-2, 4.7e-2 and 1.6e-2.  t = 0 is the sine
+    # kernel, which has no t = 1 image, so it is refused; so is a t that
+    # takes x outside the solved window, where logxasy reads v.
+    for formula in ("theorem2", "logsasy", "logxasy"):
         argv = ["verify", "--formula", formula, "--kernel", "csin", "--x", "1", "--s", "2.0"]
         code, out = run(capsys, argv + ["--t", "0.5"])
         assert code == EXIT_OK
@@ -114,6 +115,9 @@ def test_verify_scales_t_onto_the_t_one_formulas(capsys):
         assert main(argv + ["--t", "0"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("gapdet: --t ")
+    argv = ["verify", "--formula", "logxasy", "--kernel", "csin", "--t", "0.3", "--x", "7"]
+    assert main(argv) == EXIT_USAGE
+    assert "outside the solved window" in capsys.readouterr().err
 
 
 def test_verify_exponent_fit_with_trig_kernel(capsys):
