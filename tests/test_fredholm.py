@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,8 @@ from gapdet import (
     log_det,
     log_det_converged,
 )
-from gapdet.fredholm import _dx_rung, _nystrom, _quad
+from gapdet.fredholm import _ds_rung, _dx_rung, _fold, _fold_rows, _nystrom, _quad
+from gapdet.kernels import kernel_dx_factors
 from gapdet.mpnum import LogDetResult, log_det_lu
 from oracles import dense_kernel_dx
 
@@ -108,15 +110,20 @@ def test_zero_t_determinants_match_sine_bitwise():
 def test_cubic_family_scales_onto_t_one():
     # lambda -> t^(-1/3) lambda takes CubicSine(t, x) on (-s, s) to
     # CubicSine(1, x t^(-1/3)) on (-s t^(1/3), s t^(1/3)), the identity that
-    # lets verify judge theorem2 and logsasy at t < 1.  Measured gaps: 1.6e-13,
-    # 2.2e-16 and 0.  Not at (0.973, 1.996, 2.034): there log det is -87 and
-    # the gap (4.4e-9 at n = 128) measures how ill-conditioned M is.
+    # lets verify judge theorem2, logsasy and logxasy at t < 1: log det is
+    # the same, d/dx is t^(-1/3) times and d/ds t^(1/3) times the slope
+    # there.  Measured gaps: 1.6e-13, 2.2e-16 and 0 for log det; relative,
+    # at most 2.7e-14 for d/dx and 4.2e-14 for d/ds.  Not at (0.973, 1.996,
+    # 2.034): there log det is -87 and the gap (4.4e-9 at n = 128) measures
+    # how ill-conditioned M is.
     for t, x, s in ((0.5, 1.0, 2.0), (0.125, -1.0, 2.4), (0.3, 0.0, 1.0)):
         r = t ** (1 / 3)
+        spec, spec1 = CubicSine(t=t, x=x), CubicSine(t=1.0, x=x / r)
         for n in (64, 128):
-            a = log_det(CubicSine(t=t, x=x), s, n).log_det
-            b = log_det(CubicSine(t=1.0, x=x / r), s * r, n).log_det
-            assert abs(a - b) <= 1e-12
+            assert abs(log_det(spec, s, n).log_det - log_det(spec1, s * r, n).log_det) <= 1e-12
+            for rung, scale in ((_dx_rung, 1.0 / r), (_ds_rung, r)):
+                a, b = rung(spec, s, n), scale * rung(spec1, s * r, n)
+                assert abs(a - b) <= 1e-12 * abs(a)
 
 
 def test_top_rung_peak_memory_stays_small():
@@ -584,6 +591,30 @@ def test_the_x_slope_rung_matches_the_dense_trace(hm):
             d = (sq[:, None] * sq[None, :]) * dense_kernel_dx(spec, xi)
             want = -np.trace(np.linalg.solve(m, d))
             assert abs(_dx_rung(spec, s, n) - want) <= 1e-9 * abs(want)
+
+
+def test_slope_quadratic_form_against_a_40_digit_solve():
+    # The quadratic form of a d/dx rung, |L^-1 p|^2 over the Cholesky
+    # factors of the two folded blocks, against an mpmath LU solve of the
+    # same binary64 blocks at 40 digits, which shares no binary64 solve with
+    # it.  CubicSine(1, 1) at s = 2.2, n = 64: lambda_min of M is 1.19e-9,
+    # so the bound eps / lambda_min is 1.85e-7.  Measured 2.7e-9 (1.4e-9
+    # for the binary64 LU solve the slopes used before).
+    spec, s, n = CubicSine(t=1.0, x=1.0), 2.2, 64
+    m, xi, sq, _ = _nystrom(spec, s, n)
+    v = sq[:, None] * kernel_dx_factors(spec, xi)
+    blocks, parts = _fold(m), _fold_rows(v)
+    lam_min = min(np.linalg.eigvalsh(b)[0] for b in blocks)
+    assert 1.1e-9 <= lam_min <= 1.3e-9
+    with mpmath.workdps(40):
+        want = mpmath.mpf(0)
+        for block, part in zip(blocks, parts):
+            a = mpmath.matrix(block.tolist())
+            for col in part.T:
+                p = mpmath.matrix(col.tolist())
+                want += (p.T * mpmath.lu_solve(a, p))[0]
+        want = float(want)
+    assert abs(_quad(m, v, s, n) - want) <= np.finfo(float).eps / lam_min * abs(want)
 
 
 def test_slopes_run_no_double_double_elimination(hm, monkeypatch):
