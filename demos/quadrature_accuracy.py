@@ -71,7 +71,7 @@ for k in range(n):
         for j in range(k, n):
             a[i][j] -= f * a[k][j]
 
-res = log_det_lu(hilbert)
+res, = log_det_lu(hilbert[None])  # a stack of one matrix
 sign, ref = np.linalg.slogdet(hilbert)
 print("log|det| of the 8x8 Hilbert matrix:", sum(res.log_abs_det))
 print("smallest pivot:", res.pivot_min)

@@ -34,7 +34,7 @@ from .fredholm import (
     log_det,
     log_det_converged,
 )
-from .kernels import CubicSine, KernelIntegrityError, PII, Sine, kernel_matrix
+from .kernels import CubicSine, KernelIntegrityError, PII, kernel_matrix
 from .mpnum import gauss_legendre
 from .painleve2 import (
     NewtonDivergenceError,
@@ -203,6 +203,11 @@ def _config(ns):
     kernel, s_list, x = ns.row[:3] if ns.row else ("sine", [1.0], 1.0)
     ns.s = _parse_s_list(ns.s) if ns.s is not None else list(s_list)
     ns.kernel = ns.kernel or kernel
+    if ns.kernel == "sine" and ns.t is None:
+        # --kernel sine spells --kernel csin --t 0 and is refused where that
+        # is; given a --t of its own, it stays sine and that --t is refused
+        ns.kernel, ns.t = "csin", 0.0
+        given.add("t")
     ns.x = x if ns.x is None else ns.x
     ns.t = 1.0 if ns.t is None else ns.t
     refused = [f"{flag} {why.format(c=ns)}" for flag, name, test, why in _REFUSALS
@@ -224,8 +229,6 @@ def _solve(cfg):
 def _spec_for(cfg, sol):
     """Kernel spec factory; PII gets a fresh field per call so no row's
     value depends on the column cache left by the rows before it."""
-    if cfg.kernel == "sine":
-        return Sine(x=cfg.x)
     if cfg.kernel == "csin":
         return CubicSine(t=cfg.t, x=cfg.x)
     return PII(x=cfg.x, field=PsiField(x=cfg.x, hm=sol))

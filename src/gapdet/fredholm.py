@@ -8,16 +8,17 @@ every kernel here is even, K(-a, -b) = K(a, b), so M is centrosymmetric:
 on the even and on the odd vectors it acts as two blocks of order n/2
 (``_fold``; (n + 1)/2 and (n - 1)/2 for odd n), and det M = det(even)
 det(odd), the even/odd split of the sine-kernel determinant (Gaudin
-1961).  So every rung eliminates two half-size blocks, a quarter of the
-work of eliminating M, and a PII rung marches its columns at the
+1961).  At odd n the odd block is bordered by a unit row and column, so
+every rung is one (2, m, m) stack of two half-size blocks, a quarter of
+the work of eliminating M, and a PII rung marches its columns at the
 non-negative nodes only.  M is assembled in binary64 from kernel values
 of about that accuracy: the trig entries are rounding-level, apart from
 the ~1e-12 midpoint rule near the diagonal, and the PII columns agree with
-a DOP853 march to a few 1e-13 for x >= -1 (``psi``).  M is folded, and the
-blocks are eliminated in double-double, both in one stacked call at even
-n, the ladder's orders.  That buys no accuracy: even at log det ~ -62 the
-smallest pivot is moderate (0.56 for PII at x = 1, s = 2, n = 256), so
-the binary64 assembly sets the error.  A correlation kernel has
+a DOP853 march to a few 1e-13 for x >= -1 (``psi``).  M is folded, and
+the stack is eliminated in double-double, in one call at every n.  That
+buys no accuracy: even at log det ~ -62 the smallest pivot is moderate
+(0.56 for PII at x = 1, s = 2, n = 256), so the binary64 assembly sets
+the error.  A correlation kernel has
 0 <= K < I, so a resolved M, and with it each block, is positive
 definite, and a rung with a block that is not is refused as
 under-resolved.  The double-double LDL^T stays until a binary64
@@ -25,11 +26,10 @@ factorization, trusted by the conditioning of I - K, replaces it; log
 det is the binary64 sum of the two words of each block's log det, and
 the ladder's gap is a binary64 difference.
 
-The slopes need no determinant, only one stacked binary64 Cholesky
-factorization of the same two blocks per rung, block = L L^T.  The factor
-gates the rung, refused as the determinant's is when it finds a block not
-positive definite, and gives its number (Tracy and Widom 1994; Bornemann
-2010):
+The slopes need no determinant, only one binary64 Cholesky factorization
+of the same stack per rung, block = L L^T.  The factor gates the rung,
+refused as the determinant's is when it finds a block not positive
+definite, and gives its number (Tracy and Widom 1994; Bornemann 2010):
 
     d/ds log det = -(R(s, s) + R(-s, -s)) = -2 R(s, s),
     d/dx log det = -tr((I - K)^-1 dK/dx),
@@ -108,9 +108,10 @@ def _check_s(spec: KernelSpec, s: float):
         raise ValueError(f"s = {s} outside [0, {cap}] for {type(spec).__name__}")
 
 
-def _fold(a: np.ndarray) -> tuple:
+def _fold(a: np.ndarray) -> np.ndarray:
     """The even and odd blocks of a symmetric, centrosymmetric order-n
-    matrix on mirrored nodes, whose determinants multiply to its own.
+    matrix on mirrored nodes, whose determinants multiply to its own, as
+    one (2, m, m) stack, m = (n + 1) // 2.
 
     They are A in the orthonormal bases (e_i +- e_-i)/sqrt(2) of the even
     and the odd vectors.  With A++ the rows and columns of the positive
@@ -118,8 +119,11 @@ def _fold(a: np.ndarray) -> tuple:
     node order, even = A++ + A+- J and odd = A++ - A+- J: one binary64
     addition per entry, so their diagonals keep A's roundings.  For odd n
     the middle node (0) leads the even block, its cross entries times
-    sqrt(2).  Both blocks are exactly symmetric when A is exactly
-    centrosymmetric off its diagonal.
+    sqrt(2), and the odd block, one order short, is bordered by a last
+    unit row and column.  The border leaves the odd block's determinant,
+    and every pivot an elimination or a factorization takes before it, as
+    they are, and adds a last pivot of exactly 1.  Both blocks are exactly
+    symmetric when A is exactly centrosymmetric off its diagonal.
     """
     n = len(a)
     h = n // 2
@@ -128,7 +132,8 @@ def _fold(a: np.ndarray) -> tuple:
     if n % 2:
         edge = math.sqrt(2.0) * a[h, n - h:]
         even = np.block([[a[h, h], edge], [edge[:, None], even]])
-    return even, odd
+        odd = np.block([[odd, np.zeros((h, 1))], [np.zeros((1, h)), 1.0]])
+    return np.stack([even, odd])
 
 
 def _fold_rows(v: np.ndarray) -> np.ndarray:
@@ -142,24 +147,26 @@ def _fold_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _nystrom(spec: KernelSpec, s: float, n: int, extra=()) -> tuple:
-    """(M, nodes, sqrt(w), K) of the order-n rung on (-s, s), with K on the
-    nodes and then the ``extra`` points, M = I - W^1/2 K W^1/2 on the nodes.
-    The nodes are mirrored and every kernel is even, so M is centrosymmetric
-    and ``_fold`` splits it."""
+    """(blocks, nodes, sqrt(w), K) of the order-n rung on (-s, s), with K on
+    the nodes and then the ``extra`` points, and blocks the ``_fold`` stack
+    of M = I - W^1/2 K W^1/2 on the nodes: the nodes are mirrored and every
+    kernel is even, so M is centrosymmetric, and only its two blocks are
+    kept."""
     rule = gauss_legendre(n)
     xi, sq = s * rule.nodes_f8, np.sqrt(s * rule.weights_f8)
     k = kernel_matrix(spec, np.concatenate([xi, extra]) if len(extra) else xi)
-    return np.eye(n) - (sq[:, None] * sq[None, :]) * k[:n, :n], xi, sq, k
+    return _fold(np.eye(n) - (sq[:, None] * sq[None, :]) * k[:n, :n]), xi, sq, k
 
 
 def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
     """log det(I - K) on (-s, s) at a fixed quadrature order.
 
-    M is eliminated as the two blocks of ``_fold``, in one stacked call at
-    even n and each alone at odd n, whose blocks differ in order by one:
-    log det is the sum of theirs, and ``pivot_min`` the smaller of their
-    smallest pivots, which is never below the smallest eigenvalue of M.  A
-    block that is not positive definite raises DetIntegrityError.
+    The rung's ``_fold`` stack is eliminated in one call at every n: log
+    det is the sum of its blocks', and ``pivot_min`` the smaller of their
+    smallest pivots, which is never below the smallest eigenvalue of M.
+    An odd n's border adds a pivot of 1, which moves neither: a rung that
+    is returned has det <= 1, so one of its pivots is at most 1.  A block
+    that is not positive definite raises DetIntegrityError.
     """
     if not _N_MIN <= n <= _N_MAX:
         raise ValueError(f"n = {n} outside [{_N_MIN}, {_N_MAX}]")
@@ -168,9 +175,9 @@ def log_det(spec: KernelSpec, s: float, n: int) -> DetEvaluation:
         return DetEvaluation(spec, s, n, 0.0, 1.0, True)
 
     # only the two blocks are kept: K and M are freed before the elimination
-    blocks = _fold(_nystrom(spec, s, n)[0])
+    blocks = _nystrom(spec, s, n)[0]
     try:
-        results = log_det_lu(np.stack(blocks)) if n % 2 == 0 else [log_det_lu(b) for b in blocks]
+        results = log_det_lu(blocks)
     except NotPositiveDefiniteError:
         raise DetIntegrityError(f"I - K not positive definite at s = {s}, n = {n}") from None
     value, pivot_min = 0.0, math.inf
@@ -239,16 +246,15 @@ def _slope_agree(val: float, prev: float) -> bool:
     return abs(val - prev) <= _LADDER_TOL * max(1.0, abs(val))
 
 
-def _quad(m: np.ndarray, v: np.ndarray, s: float, n: int) -> float:
-    """2 tr(v^T M^-1 v) for an (n, k) array v on the nodes: |L^-1 p|^2
-    summed over the two blocks of ``_fold`` (even n), block = L L^T, and
-    over the columns p of their parts (``_fold_rows``).  A block that the
-    stacked Cholesky factorization finds not positive definite, or a sum
-    that is not finite, raises DetIntegrityError.  numpy has no triangular
-    solve, so a general one with L stands in."""
+def _quad(blocks: np.ndarray, v: np.ndarray, s: float, n: int) -> float:
+    """2 tr(v^T M^-1 v) for an (n, k) array v on the nodes, n even, from
+    the rung's ``_fold`` stack: |L^-1 p|^2 summed over the two blocks,
+    block = L L^T, and over the columns p of their parts (``_fold_rows``).
+    A block that the stacked Cholesky factorization finds not positive
+    definite, or a sum that is not finite, raises DetIntegrityError.
+    numpy has no triangular solve, so a general one with L stands in."""
     try:
-        value = float(np.sum(np.linalg.solve(np.linalg.cholesky(np.stack(_fold(m))),
-                                             _fold_rows(v)) ** 2))
+        value = float(np.sum(np.linalg.solve(np.linalg.cholesky(blocks), _fold_rows(v)) ** 2))
     except np.linalg.LinAlgError:
         raise DetIntegrityError(f"I - K not positive definite at s = {s}, n = {n}") from None
     if not math.isfinite(value):
@@ -260,31 +266,36 @@ def _ds_rung(spec: KernelSpec, s: float, n: int) -> float:
     """-2 R(s, s) at order n, with R(s, s) = K(s, s) + b^T M^-1 b,
     b = W^1/2 K(x., s), from one kernel assembly on the nodes and s; the
     kernel is even, so R(-s, -s) = R(s, s)."""
-    m, _, sq, k = _nystrom(spec, s, n, extra=[s])
-    return -(2.0 * float(k[n, n]) + _quad(m, sq[:, None] * k[:n, n:], s, n))
+    blocks, _, sq, k = _nystrom(spec, s, n, extra=[s])
+    return -(2.0 * float(k[n, n]) + _quad(blocks, sq[:, None] * k[:n, n:], s, n))
 
 
 def _dx_rung(spec: KernelSpec, s: float, n: int) -> float:
     """-tr(M^-1 W^1/2 dK/dx W^1/2) = -tr(g^T M^-1 g) at order n, with
     g = W^1/2 G and dK/dx = G G^T (``kernel_dx_factors``)."""
-    m, xi, sq, _ = _nystrom(spec, s, n)
-    return -0.5 * _quad(m, sq[:, None] * kernel_dx_factors(spec, xi), s, n)
+    blocks, xi, sq, _ = _nystrom(spec, s, n)
+    return -0.5 * _quad(blocks, sq[:, None] * kernel_dx_factors(spec, xi), s, n)
 
 
 def dlogdet_ds(spec: KernelSpec, s: float) -> float:
     """d/ds log det(I - K) = -(R(s, s) + R(-s, -s)) = -2 R(s, s), R the
     resolvent kernel.
 
-    Each rung is one binary64 Cholesky factorization of the folded blocks
-    of ``log_det``; the ladder stops when successive rungs agree within
-    1e-8 relative to max(1, |slope|).  At s = 0 this is -2 K(0, 0).
+    Each rung is one binary64 Cholesky factorization of the ``_fold``
+    stack of ``log_det``; the ladder stops when successive rungs agree
+    within 1e-8 relative to max(1, |slope|).  At s = 0 this is -2 K(0, 0).
+    A ladder that reaches n = 256 without two rungs agreeing returns its
+    top rung, with no flag to say so: 18 of the 36 slope ladders of PII
+    and CubicSine(1, x), x in {-1, 0, 1}, at s in {2.2, 2.3, 2.4} end that
+    way, where ``log_det_converged`` reports converged = False.
     """
     return _ladder(spec, s, _ds_rung, _slope_agree, extra=(s,))[0]
 
 
 def dlogdet_dx(spec: KernelSpec, s: float) -> float:
     """d/dx log det(I - K) = -tr((I - K)^-1 dK/dx), on the ladder of
-    ``dlogdet_ds``.  Nothing is shifted in x, so every x the kernel accepts
-    is valid, up to the edge of its domain.
+    ``dlogdet_ds``, and like it returned without a convergence flag.
+    Nothing is shifted in x, so every x the kernel accepts is valid, up to
+    the edge of its domain.
     """
     return _ladder(spec, s, _dx_rung, _slope_agree)[0]

@@ -117,9 +117,8 @@ def _finite(vals: np.ndarray, where: str) -> np.ndarray:
 def _columns_and_diagonal(field: PsiField, lams: np.ndarray):
     """psi11 at lams, and K(lambda, lambda) = -Im(conj psi11 psi11') / pi
     there, psi11' from the lambda-equation."""
-    cols = psi_columns(field, lams)
-    a = cols[:, 0]
-    da = _lambda_derivative(field, lams, a, cols[:, 1])[0]
+    a = psi_columns(field, lams)[:, 0]
+    da = _lambda_derivative(field, lams, a)
     return a, (a.imag * da.real - a.real * da.imag) / math.pi
 
 

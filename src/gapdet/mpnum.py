@@ -1,5 +1,5 @@
 """Double-double arithmetic, Gauss-Legendre rules, and an extended-precision
-log-determinant of a symmetric positive definite matrix.
+log-determinant of each symmetric positive definite matrix of a stack.
 
 Double-double is what makes the Gauss-Legendre weights right: at n = 128,
 s = 2, binary64 Newton weights move log det by 5.8e-10, library rules by 4e-8
@@ -15,9 +15,10 @@ roughly 31 digits (the QD library's form: Hida, Li and Bailey, ARITH-15,
 same code runs on scalars and numpy arrays; the hot paths use arrays: the
 rule's one double-double pass of the Legendre recurrence over all its
 binary64 roots at once, and the elimination's multipliers and rank-1
-update, formed once per pivot step for a whole stack of matrices of one
-order (the two folded blocks of a Nystrom rung), which halves the numpy
-calls of a rung, each matrix's result bit for bit its own.  A rule takes
+update, formed once per pivot step for a whole (B, n, n) stack of
+matrices of one order, its one input form (a Nystrom rung's two folded
+blocks; a single matrix is a stack of one), which halves the numpy calls
+of a rung, each matrix's result bit for bit its own.  A rule takes
 its nodes and weights from that one pass (a Halley step for the node, a
 Taylor-corrected P_n' for the weight), so the four ladder orders 32-256
 build in about 45 ms together on a 2-core host, against about 0.22 s with
@@ -162,7 +163,6 @@ class QuadratureRule:
     words, which are the pairs' binary64 roundings.
     """
 
-    order: int
     nodes: tuple
     weights: tuple
 
@@ -258,7 +258,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     # the half runs from the largest root down; mirror it without a second 0
     nodes = tuple(_frozen(np.concatenate([-a[:m], a[::-1]])) for a in (xh, xl))
     weights = tuple(_frozen(np.concatenate([a[:m], a[::-1]])) for a in (wh, wl))
-    return QuadratureRule(n, nodes, weights)
+    return QuadratureRule(nodes, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -290,32 +290,29 @@ _LU_ROWS = 64
 _DEC = decimal.Context(prec=40, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 
-def log_det_lu(matrix):
-    """log det of a symmetric positive definite float matrix, or of each
-    matrix of a stack, by unpivoted LDL^T elimination in double-double.
+def log_det_lu(stack):
+    """log det of each symmetric positive definite float matrix of a stack,
+    by unpivoted LDL^T elimination in double-double.
 
-    A 2-D ``matrix`` gives one LogDetResult.  A stack of matrices of one
-    order, shaped (B, n, n) as in ``numpy.linalg``, gives a list of B, and
-    each array operation of a pivot step runs once on the whole stack;
-    every operation is elementwise in the matrix, so each result is bit for
-    bit the one that matrix gives alone.  The entries are binary64 and each
-    matrix must be exactly symmetric; every update is a (hi, lo) pair in the
-    lower trapezoid of a row slice, with the pivot row read from the pivot
-    column.  A pivot whose hi word is not positive raises
-    NotPositiveDefiniteError at the earliest step at which any matrix has
-    one.  Each step forms one scalar dd reciprocal per matrix of its
-    pivot's binary64 mantissa on Python floats and the multipliers from
-    one vector dd_mul, so no multiplier overflows a Dekker split.  Each
-    matrix's product of pivots is carried in 40-digit decimal, and its log
-    det is one correctly rounded decimal ln of it, split into a (hi, lo)
-    pair.
+    ``stack`` holds matrices of one order, shaped (B, n, n) as in
+    ``numpy.linalg``, and gives a list of B LogDetResults; one matrix is a
+    stack of one.  Each array operation of a pivot step runs once on the
+    whole stack, and every operation is elementwise in the matrix, so each
+    result is bit for bit the one that matrix gives alone.  The entries are
+    binary64 and each matrix must be exactly symmetric; every update is a
+    (hi, lo) pair in the lower trapezoid of a row slice, with the pivot row
+    read from the pivot column.  A pivot whose hi word is not positive
+    raises NotPositiveDefiniteError at the earliest step at which any
+    matrix has one.  Each step forms one scalar dd reciprocal per matrix
+    of its pivot's binary64 mantissa on Python floats and the multipliers
+    from one vector dd_mul, so no multiplier overflows a Dekker split.
+    Each matrix's product of pivots is carried in 40-digit decimal, and its
+    log det is one correctly rounded decimal ln of it, split into a (hi,
+    lo) pair.
     """
-    ah = np.array(matrix, dtype=float)
-    stacked = ah.ndim == 3
-    if not stacked:
-        ah = ah[None]
+    ah = np.array(stack, dtype=float)
     if ah.ndim != 3 or ah.shape[1] != ah.shape[2] or 0 in ah.shape:
-        raise ValueError("matrix must be square and non-empty")
+        raise ValueError("stack must be (B, n, n), square and non-empty")
     if not np.all(np.isfinite(ah)):
         raise ValueError("matrix entries must be finite")
     if not np.array_equal(ah, ah.transpose(0, 2, 1)):
@@ -359,4 +356,4 @@ def log_det_lu(matrix):
         hi = float(log_abs)
         lo = float(_DEC.subtract(log_abs, _DEC.create_decimal_from_float(hi)))
         results.append(LogDetResult((hi, lo), piv[0] + piv[1]))
-    return results if stacked else results[0]
+    return results

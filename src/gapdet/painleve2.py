@@ -81,8 +81,8 @@ class HastingsMcLeodSolution:
     Immutable.  Between nodes, u and u_x are cubic Hermite interpolants
     whose node slopes are u_x and u_xx = x u + 2 u^3 (module docstring); the
     constructor checks that the grid increases and the arrays share it.
-    The window [x_left, x_right] and the step h are read off the grid, so
-    they cannot disagree with it.
+    The window [x_left, x_right] is read off the grid, so it cannot
+    disagree with it.
     """
 
     x: np.ndarray
@@ -106,10 +106,6 @@ class HastingsMcLeodSolution:
     @property
     def x_right(self) -> float:
         return float(self.x[-1])
-
-    @property
-    def h(self) -> float:
-        return float((self.x[-1] - self.x[0]) / (len(self.x) - 1))
 
     def _check(self, x: float):
         if not self.x_left <= x <= self.x_right:

@@ -275,14 +275,15 @@ def psi_columns(field_: PsiField, lams) -> np.ndarray:
     return np.stack([psi11, -1j * np.conj(psi11)], axis=1)
 
 
-def _lambda_derivative(field_: PsiField, lam, p1, p2):
-    """d psi / d lambda of the column (p1, p2) at lam, from the lambda-equation
-    d psi / d lambda = A psi with the traceless A = [[a11, a12], [a21, -a11]].
+def _lambda_derivative(field_: PsiField, lam, psi11):
+    """d psi11 / d lambda at lam, from the first row of the lambda-equation
+    d psi / d lambda = A psi with the traceless A = [[a11, a12], [a21,
+    -a11]], and psi21 = -i conj(psi11), the Lax pair's pairing for real
+    lambda.
 
-    Works elementwise on arrays; the caller supplies the column values.
+    Works elementwise on arrays; the caller supplies psi11.
     """
     u, ux = field_.hm.u_at(field_.x), field_.hm.u_x_at(field_.x)
     a11 = -1j * (4.0 * lam ** 2 + field_.x + 2.0 * u * u)
     a12 = 4j * lam * u - 2.0 * ux
-    a21 = -4j * lam * u - 2.0 * ux
-    return a11 * p1 + a12 * p2, a21 * p1 - a11 * p2
+    return a11 * psi11 + a12 * (-1j * np.conj(psi11))

@@ -120,6 +120,35 @@ def test_verify_scales_t_onto_the_t_one_formulas(capsys):
     assert "outside the solved window" in capsys.readouterr().err
 
 
+def test_kernel_sine_is_the_t_zero_csin(capsys):
+    # --kernel sine spells --kernel csin --t 0, so the scaled formulas
+    # refuse both spellings with one message.  Read as a kernel of its own,
+    # it was judged against the t = 1 formulas and failed, missing by 18.2
+    # (theorem2, s = 1.6), 160.2 (logsasy, s = 2) and 15.8 (logxasy, s = 2).
+    for formula in ("theorem2", "logsasy", "logxasy"):
+        errors = []
+        for kernel in (["sine"], ["csin", "--t", "0"]):
+            assert main(["verify", "--formula", formula, "--kernel", *kernel]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == (
+            f"gapdet: --t 0.0 is the sine kernel, which --formula {formula} "
+            "cannot scale to t = 1\n")
+    # with a --t of its own it is refused, as every kernel but csin is
+    assert main(["det", "--kernel", "sine", "--s", "1", "--t", "0.3"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "gapdet: --t applies to --kernel csin only\n"
+    # one kernel: the same table, and the same s cap, under both spellings
+    for s in ("1.5,5", "9"):
+        seen = []
+        for kernel in (["sine"], ["csin", "--t", "0"]):
+            code = main(["det", "--kernel", *kernel, "--s", s])
+            seen.append((code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+    assert seen[0][0] == EXIT_USAGE
+    assert seen[0][1].err == "gapdet: s = 9.0 outside [0, 8.0] for CubicSine\n"
+
+
 def test_verify_exponent_fit_with_trig_kernel(capsys):
     code, out = run(capsys, ["verify", "--formula", "fcet", "--kernel", "csin", "--x", "0.0"])
     assert code == EXIT_OK

@@ -163,7 +163,7 @@ def _unfolded_log_det(spec, s, n):
     rule = gauss_legendre(n)
     sq = np.sqrt(s * rule.weights_f8)
     m = np.eye(n) - (sq[:, None] * sq[None, :]) * kernel_matrix(spec, s * rule.nodes_f8)
-    res = log_det_lu(m)
+    res = log_det_lu(m[None])[0]
     return res.log_abs_det[0] + res.log_abs_det[1], np.linalg.eigvalsh(m)[0]
 
 
@@ -329,8 +329,8 @@ def test_indefinite_rungs_are_refused(hm):
     # At s = 2.4 the n = 32 rungs are under-resolved and their M has a
     # negative eigenvalue (-9.8e-7, -6.7e-8 and -9.8e-7), in both of its
     # folded blocks; the error names the rung, and the ladder skips it like
-    # any other that fails.  At n = 33 the blocks differ in order and are
-    # eliminated one by one, and the rung is refused as well.
+    # any other that fails.  At n = 33 the odd block is bordered to the
+    # even block's order, and the rung is refused as well.
     specs = (CubicSine(t=1.0, x=1.0), PII(x=0.0, field=PsiField(x=0.0, hm=hm)),
              PII(x=1.0, field=PsiField(x=1.0, hm=hm)))
     for spec, n in [(spec, 32) for spec in specs] + [(specs[0], 33), (specs[2], 33)]:
@@ -373,7 +373,7 @@ def test_indefinite_slope_rungs_are_refused(hm, monkeypatch):
         m = np.eye(8) + np.fliplr(np.diag(np.concatenate([d[::-1], d])))
         with pytest.raises(DetIntegrityError,
                            match="^I - K not positive definite at s = 1, n = 8$"):
-            _quad(m, np.ones((8, 1)), 1, 8)
+            _quad(_fold(m), np.ones((8, 1)), 1, 8)
     specs = (CubicSine(t=1.0, x=1.0), PII(x=0.0, field=PsiField(x=0.0, hm=hm)),
              PII(x=1.0, field=PsiField(x=1.0, hm=hm)))
     for spec in specs:
@@ -581,13 +581,15 @@ def test_slope_noise_is_below_the_ladder_tolerance(hm):
 def test_the_x_slope_rung_matches_the_dense_trace(hm):
     # _dx_rung folds the rank-two factor of dK/dx; the reference is
     # -tr(M^-1 W^1/2 D W^1/2) with the n x n D of ``dense_kernel_dx`` and
-    # the whole unfolded M.  Worst case 1.2e-10, CubicSine(1, 0) at n = 64.
+    # the whole unfolded M, assembled from the rung's own K.  Worst case
+    # 1.2e-10, CubicSine(1, 0) at n = 64.
     cases = ((CubicSine(t=1.0, x=1.0), 2.0), (CubicSine(t=1.0, x=0.0), 2.2),
              (PII(x=1.0, field=PsiField(x=1.0, hm=hm)), 2.0),
              (PII(x=-1.0, field=PsiField(x=-1.0, hm=hm)), 2.0))
     for spec, s in cases:
         for n in (64, 128, 256):
-            m, xi, sq, _ = _nystrom(spec, s, n)
+            _, xi, sq, k = _nystrom(spec, s, n)
+            m = np.eye(n) - (sq[:, None] * sq[None, :]) * k
             d = (sq[:, None] * sq[None, :]) * dense_kernel_dx(spec, xi)
             want = -np.trace(np.linalg.solve(m, d))
             assert abs(_dx_rung(spec, s, n) - want) <= 1e-9 * abs(want)
@@ -601,9 +603,9 @@ def test_slope_quadratic_form_against_a_40_digit_solve():
     # so the bound eps / lambda_min is 1.85e-7.  Measured 2.7e-9 (1.4e-9
     # for the binary64 LU solve the slopes used before).
     spec, s, n = CubicSine(t=1.0, x=1.0), 2.2, 64
-    m, xi, sq, _ = _nystrom(spec, s, n)
+    blocks, xi, sq, _ = _nystrom(spec, s, n)
     v = sq[:, None] * kernel_dx_factors(spec, xi)
-    blocks, parts = _fold(m), _fold_rows(v)
+    parts = _fold_rows(v)
     lam_min = min(np.linalg.eigvalsh(b)[0] for b in blocks)
     assert 1.1e-9 <= lam_min <= 1.3e-9
     with mpmath.workdps(40):
@@ -614,7 +616,7 @@ def test_slope_quadratic_form_against_a_40_digit_solve():
                 p = mpmath.matrix(col.tolist())
                 want += (p.T * mpmath.lu_solve(a, p))[0]
         want = float(want)
-    assert abs(_quad(m, v, s, n) - want) <= np.finfo(float).eps / lam_min * abs(want)
+    assert abs(_quad(blocks, v, s, n) - want) <= np.finfo(float).eps / lam_min * abs(want)
 
 
 def test_slopes_run_no_double_double_elimination(hm, monkeypatch):

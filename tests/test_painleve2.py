@@ -24,8 +24,13 @@ from oracles import log_f2
 mpmath.mp.dps = 30
 
 
+def _step(sol) -> float:
+    """The grid step, read off the grid as solve_hm sets it."""
+    return float((sol.x[-1] - sol.x[0]) / (len(sol.x) - 1))
+
+
 def test_solution_metadata(hm):
-    assert hm.x_left == -10.0 and hm.x_right == 8.0 and hm.h == 0.002
+    assert hm.x_left == -10.0 and hm.x_right == 8.0 and _step(hm) == 0.002
     assert hm.x.size == hm.u.size == hm.u_x.size == hm.v.size == 9001
     # four Newton steps reach the residual floor (2.07e-10), where the loop stops
     assert hm.iterations == 5
@@ -35,7 +40,7 @@ def test_solution_metadata(hm):
 def test_residual_recomputed_independently(hm):
     # The Numerov stencil of u'' = f, f = 2 u^3 + x u, on the stored profile:
     # the second difference against the 1-10-1 weighted average of f.
-    u, x, h = hm.u, hm.x, hm.h
+    u, x, h = hm.u, hm.x, _step(hm)
     f = 2.0 * u ** 3 + x * u
     lhs = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
     rhs = (f[2:] + 10.0 * f[1:-1] + f[:-2]) / 12.0
@@ -81,10 +86,10 @@ def test_tridiagonal_sweep_is_lapack_bit_for_bit(hm):
     # side there is rounding noise, so a random one is solved as well
     from scipy.linalg import solve_banded
 
-    sub, diag, sup = _newton_jacobian(hm.u, hm.x, hm.h)
+    sub, diag, sup = _newton_jacobian(hm.u, hm.x, _step(hm))
     ab = np.zeros((3, diag.size))
     ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
-    rhs_newton = -_interior_residual(hm.u, hm.x, hm.h)
+    rhs_newton = -_interior_residual(hm.u, hm.x, _step(hm))
     rhs_random = np.random.default_rng(2012).standard_normal(diag.size)
     for rhs in (rhs_newton, rhs_random):
         assert np.array_equal(_solve_tridiagonal(sub, diag, sup, rhs),
@@ -169,11 +174,11 @@ def test_window_and_step_are_read_off_the_grid(hm, free_hm):
     # x_left + h * k misses x_right on about half the windows (by 8.9e-16
     # at 7.3), so solve_hm pins the last node
     sol = solve_hm(x_right=7.3)
-    assert sol.x[-1] == sol.x_right == 7.3 and sol.h == (7.3 + 10.0) / 8650
+    assert sol.x[-1] == sol.x_right == 7.3 and _step(sol) == (7.3 + 10.0) / 8650
     # a hand-built solution claims exactly its grid, and nothing past it
     assert (free_hm.x_left, free_hm.x_right) == (free_hm.x[0], free_hm.x[-1]) == (-10.0, 12.5)
     short = dataclasses.replace(hm, **{k: getattr(hm, k)[:8001] for k in ("x", "u", "u_x", "v")})
-    assert short.x_right == short.x[-1] == 6.0 and short.h == hm.h
+    assert short.x_right == short.x[-1] == 6.0 and _step(short) == _step(hm)
     with pytest.raises(ValueError, match="window"):
         short.u_at(7.0)
     with pytest.raises(TypeError):

@@ -211,8 +211,13 @@ def test_cache_returns_the_stored_column(field0):
 
 
 def test_derivative_matches_finite_difference(field0):
+    # The library forms the psi11 row alone; the psi21 row, which the
+    # kernel does not read, comes from the oracle's own lambda-matrix.
     lam, h = 0.7, 1e-4
-    d1, d2 = _lambda_derivative(field0, lam, *psi_columns(field0, [lam])[0])
+    col = psi_columns(field0, [lam])[0]
+    d1 = _lambda_derivative(field0, lam, col[0])
+    a11, _, a21 = oracles._lambda_matrix(field0, lam)
+    d2 = a21 * col[0] - a11 * col[1]
     hi = psi_columns(field0, [lam + h])[0]
     lo = psi_columns(field0, [lam - h])[0]
     fd1 = (hi[0] - lo[0]) / (2 * h)
@@ -224,19 +229,22 @@ def test_derivative_matches_finite_difference(field0):
 def test_derivative_closed_form_without_potential(free_hm):
     f = PsiField(x=2.0, hm=free_hm)
     lam = 1.1
-    d1, d2 = _lambda_derivative(f, lam, *psi_columns(f, [lam])[0])
+    col = psi_columns(f, [lam])[0]
+    d1 = _lambda_derivative(f, lam, col[0])
     theta = (4.0 / 3.0) * lam**3 + 2.0 * lam
     want1 = -1j * (4.0 * lam**2 + 2.0) * np.exp(-1j * theta)
     assert abs(d1 - want1) <= 1e-8
+    # the psi21 row, from the oracle's lambda-matrix: psi21 = -i e^{i theta}
+    a11, _, a21 = oracles._lambda_matrix(f, lam)
+    want2 = (4.0 * lam**2 + 2.0) * np.exp(1j * theta)
+    assert abs(a21 * col[0] - a11 * col[1] - want2) <= 1e-8
     # a batch of lambdas gives the one-lambda results elementwise, bit for bit
     lams = np.array([-2.5, -0.4, 0.0, lam, 3.0])
-    cols = psi_columns(f, lams)
-    a1, a2 = _lambda_derivative(f, lams, cols[:, 0], cols[:, 1])
-    assert a1.shape == a2.shape == lams.shape
+    a1 = _lambda_derivative(f, lams, psi_columns(f, lams)[:, 0])
+    assert a1.shape == lams.shape
     for i, v in enumerate(lams):
         one = np.array([v])
-        s1, s2 = _lambda_derivative(f, one, *psi_columns(f, one).T)
-        assert a1[i] == s1[0] and a2[i] == s2[0]
+        assert a1[i] == _lambda_derivative(f, one, psi_columns(f, one)[:, 0])[0]
 
 
 def test_ray_routes_are_path_independent(hm):
