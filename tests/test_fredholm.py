@@ -23,6 +23,7 @@ from gapdet import (
     kernel_matrix,
     log_det,
     log_det_converged,
+    solve_hm,
 )
 from gapdet.fredholm import _ds_rung, _dx_rung, _fold, _fold_rows, _nystrom, _quad
 from gapdet.kernels import kernel_dx_factors
@@ -155,6 +156,23 @@ def test_pii_top_rung_peak_memory_stays_small(hm):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5e6
+
+
+@pytest.mark.parametrize("window, bound", [((), 1.5e6), ((-8.0, 40.0, 1e-3), 6e6)])
+def test_solve_hm_peak_memory_stays_small(hm, window, bound):
+    # The Airy rule runs over blocks of 256 points and the Newton sweep over
+    # slices of 1,024 rows, so the solve holds a few grid-long arrays and no
+    # (points, 41) ones: the peak is about 0.87 MB on the default window and
+    # 3.7 MB on (-8, 40, 1e-3) (5.34 and 54.7 MB with the whole grid in one
+    # Airy call and the sweep on grid-long lists).  The hm fixture has
+    # solved once already, outside the window.
+    tracemalloc.start()
+    try:
+        solve_hm(*window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def _unfolded_log_det(spec, s, n):

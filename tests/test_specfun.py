@@ -100,12 +100,17 @@ def test_airy_positive_and_decreasing_for_positive_argument():
 
 
 def test_airy_array_matches_scalar_bitwise():
-    xs = np.array([0.5, 0.7, 3.0, 6.9, 7.1, 25.0, 40.0])
-    vec = airy_ai(xs)
-    vecp = airy_ai_prime(xs)
-    for i, x in enumerate(xs):
-        assert vec[i] == airy_ai(float(x))
-        assert vecp[i] == airy_ai_prime(float(x))
+    grid = np.linspace(0.5, 40.0, 1001)
+    for xs in (np.array([0.5, 0.7, 3.0, 6.9, 7.1, 25.0, 40.0]),
+               # longer than one block of the rule and not a multiple of it,
+               # flat and 2-D
+               grid, grid[:1000].reshape(40, 25)):
+        vec = airy_ai(xs)
+        vecp = airy_ai_prime(xs)
+        assert vec.shape == vecp.shape == xs.shape
+        for i, x in np.ndenumerate(xs):
+            assert vec[i] == airy_ai(float(x))
+            assert vecp[i] == airy_ai_prime(float(x))
 
 
 def test_airy_domain_is_enforced():
