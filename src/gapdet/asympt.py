@@ -16,7 +16,7 @@ callers pick tolerances that absorb them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,22 +72,14 @@ def theorem2_prediction(s: float, x: float) -> AsymptoticPrediction:
 
 def theorem1_prediction(s: float, x: float,
                         sol: HastingsMcLeodSolution) -> AsymptoticPrediction:
-    """Expansion for the column kernel: A(s, x) + tail integral + omega0.
+    """Expansion for the column kernel: A(s, x) + omega0 + tail integral.
 
-    The tail term is evaluated at runtime from the supplied solution; it is
-    what separates this prediction from theorem2_prediction, and it decays
-    to zero as x grows (the two kernels merge).
+    theorem2_prediction plus the tail term, evaluated at runtime from the
+    supplied solution; it decays to zero as x grows (the two kernels merge).
     """
-    _check(s, x)
-    lead = _leading(s, x)
+    base = theorem2_prediction(s, x)
     tw = tw_integral(sol, x)
-    return AsymptoticPrediction(
-        value=lead + _OMEGA0 + tw,
-        leading=lead,
-        constant=_OMEGA0,
-        tw_term=tw,
-        formula_id="theorem1",
-    )
+    return replace(base, value=base.value + tw, tw_term=tw, formula_id="theorem1")
 
 
 def dyson_sine_prediction(s: float, x: float) -> AsymptoticPrediction:

@@ -97,11 +97,7 @@ class PsiField:
     def __post_init__(self):
         if not (_TOL_MIN <= self.tol < math.inf):
             raise ValueError(f"tol = {self.tol} must be finite and at least {_TOL_MIN}")
-        if not self.hm.x_left <= self.x <= self.hm.x_right:
-            raise ValueError(
-                f"x = {self.x} outside the solved window "
-                f"[{self.hm.x_left}, {self.hm.x_right}]"
-            )
+        self.hm._check(self.x)
         if not self.x >= _X_MIN:
             raise ValueError(
                 f"x = {self.x} below {_X_MIN}, left of which the march is not accurate"

@@ -66,3 +66,20 @@ def test_every_public_function_has_a_caller_outside_tests():
             if not any(name in read[p] for p in read if p != home):
                 orphans.append(name)
     assert orphans == []
+
+
+def test_every_public_method_has_a_reader_outside_tests():
+    # The same rule for the public methods and properties of the exported
+    # classes: each is read as an attribute by a demo or a library module.
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *DEMOS]:
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)}
+    orphans = []
+    for name in gapdet.__all__:
+        obj = getattr(gapdet, name)
+        if isinstance(obj, type):
+            orphans += [f"{name}.{attr}" for attr, member in vars(obj).items()
+                        if not attr.startswith("_") and attr not in read
+                        and (inspect.isfunction(member) or isinstance(member, property))]
+    assert orphans == []
