@@ -1,7 +1,7 @@
 """Hastings-McLeod boundary-value solver for u'' = x u + 2 u^3.
 
-The solution is pinned by u ~ Ai(x) on the right and u ~ sqrt(-x/2) on the
-left.  Newton's method on the Numerov discretisation solves the
+The solution is pinned by u ~ Ai(x) on the right and by its asymptotic
+series on the left.  Newton's method on the Numerov discretisation solves the
 two-point problem to fourth order in h: with f = x u + 2 u^3 the interior
 equations are (u[i-1] - 2 u[i] + u[i+1]) / h^2 = (f[i-1] + 10 f[i] +
 f[i+1]) / 12, and the Jacobian stays tridiagonal.  At the default h, u(0)
@@ -15,13 +15,10 @@ node returns its stored values.
 v = (u_x)^2 - x u^2 - u^4 is formed pointwise from the two.  The auxiliary
 quantity v shows up in the logarithmic-derivative expansions.
 
-Accuracy notes.  The left boundary uses only the leading asymptote, so a
-boundary layer near x_left carries a truncation error that one unit does
-not leave: against the x_left = -40 solve, the default window's u is off
-by 2.8e-4 / 3.7e-6 / 6.2e-8 at x = -10 / -9 / -8, which moves the PII log
-det at s = 2.4 by 2.1e-5 / 5.2e-7 / 1.3e-8 (1.5e-7 / 1.6e-8 / 1.4e-9 at
-s = 2), every ladder still converged at n = 64.  ``PsiField`` accepts any
-x >= max(x_left, -10), so those errors reach determinants unflagged.  The
+Accuracy notes.  Against the x_left = -40 solve, the default window's u
+is off by 7.8e-11 / 1.0e-12 at x = -10 / -9, about the series' first
+omitted term (6.9e-11 at -10), so every quantity read off the solution
+takes the whole window as its domain.  The
 discrete residual of a converged grid cannot drop below about
 2 eps |u| / h^2 (one half-ulp of a stored value already moves it that
 much), ~4e-10 at the default h = 0.002.  Newton therefore stops after the
@@ -50,6 +47,7 @@ part of scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -154,6 +152,11 @@ class HastingsMcLeodSolution:
         return float(self._u_ux(x)[1])
 
 
+# c_k of u = sqrt(-x/2) (1 + sum_k c_k x^(-3k)) as x -> -inf (Fokas, Its,
+# Kapaev and Novokshenov, Painleve Transcendents, AMS 2006)
+_LEFT_SERIES = (Fraction(1, 8), Fraction(-73, 128), Fraction(10657, 1024), Fraction(-13912277, 32768))
+
+
 def _initial_guess(x: np.ndarray) -> np.ndarray:
     # smooth crossfade between the two boundary asymptotes; left of 0.5, the
     # end of Ai's domain, the Airy factor is held at Ai(0.5), and the
@@ -254,7 +257,8 @@ def solve_hm(x_left: float = -10.0, x_right: float = 8.0,
     x[-1] = x_right                 # the product can miss the end by an ulp or two
 
     u = _initial_guess(x)
-    u[0] = np.sqrt(-x_left / 2.0)
+    y = Fraction(x_left) ** -3      # the series summed exactly, rounded once
+    u[0] = np.sqrt(-x_left / 2.0) * float(1 + sum(c * y ** k for k, c in enumerate(_LEFT_SERIES, 1)))
     u[-1] = airy_ai(x_right)
 
     # max|u| of the monotone solution is its pinned left value
@@ -303,14 +307,9 @@ def tw_integral(sol: HastingsMcLeodSolution, x: float) -> float:
     """integral over [x, inf) of (y - x) u(y)^2 dy.
 
     Composite Gauss quadrature over [x, x_right] on the interpolated u,
-    every panel's nodes in one evaluation, plus the closed-form Airy tail;
-    the window edges are excluded because the boundary layers there are
-    not trustworthy.
+    every panel's nodes in one evaluation, plus the closed-form Airy tail.
     """
-    if not sol.x_left + 1.0 <= x <= sol.x_right - 1.0:
-        raise ValueError(
-            f"x = {x} outside [{sol.x_left + 1.0}, {sol.x_right - 1.0}]"
-        )
+    sol._check(x)
     rule = gauss_legendre(24)
     nodes, weights = rule.nodes_f8, rule.weights_f8
     n_panels = max(1, int(np.ceil((sol.x_right - x) / 2.0)))

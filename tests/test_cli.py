@@ -100,6 +100,14 @@ def test_verify_slope_formula_with_trig_kernel(capsys):
     assert float(row[3]) <= 0.5
 
 
+def test_theorem1_reads_any_x_in_the_window(capsys):
+    # the moment integral's domain is the solved window, so an x within 1 of
+    # its left edge is judged, not refused
+    code, out = run(capsys, ["verify", "--formula", "theorem1", "--x", "-9.5", "--s", "2"])
+    assert code == EXIT_OK
+    assert out.strip().split("\n")[1].endswith(",true")
+
+
 def test_verify_scales_t_onto_the_t_one_formulas(capsys):
     # theorem2, logsasy and logxasy are t = 1 formulas; at t = 0.5 they are
     # judged at (s t^(1/3), x t^(-1/3)), where CubicSine(t, x) has the same

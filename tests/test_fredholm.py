@@ -177,32 +177,41 @@ def test_solve_hm_peak_memory_stays_small(hm, window, bound):
 
 def _unfolded_log_det(spec, s, n):
     # log det of M = I - W^1/2 K W^1/2 eliminated whole, without the
-    # even/odd split, and the smallest eigenvalue of M
+    # even/odd split; the smallest eigenvalue of M; and the resolution of
+    # the fold, eps sum |B^-1| |B| over its blocks B with eps = 2^-53: each
+    # block entry is one binary64 sum, rounded by up to eps relative, and
+    # to first order that moves log det B by at most this much
     rule = gauss_legendre(n)
     sq = np.sqrt(s * rule.weights_f8)
     m = np.eye(n) - (sq[:, None] * sq[None, :]) * kernel_matrix(spec, s * rule.nodes_f8)
     res = log_det_lu(m[None])[0]
-    return res.log_abs_det[0] + res.log_abs_det[1], np.linalg.eigvalsh(m)[0]
+    fold = 2.0 ** -53 * sum(np.sum(np.abs(np.linalg.inv(b)) * np.abs(b)) for b in _fold(m))
+    return res.log_abs_det[0] + res.log_abs_det[1], np.linalg.eigvalsh(m)[0], fold
 
 
 def test_folded_blocks_give_the_whole_matrix_determinant(hm):
-    # det M = det(even block) det(odd block) exactly; the two eliminations
-    # round differently from one of the whole M, by at most 1.5e-12
-    # relative here, odd n (the middle node in the even block) included.
-    # The folded pivots are the blocks' own, so pivot_min stays positive
-    # and never below lambda_min(M).
+    # det M = det(even block) det(odd block) exactly, and both eliminations
+    # carry far more digits than M, so the two log dets differ by the
+    # fold's rounding, bounded by its resolution: 3e-13 to 4e-13 for the
+    # sine kernel, 1.0e-9 to 1.4e-9 for the other two.  Measured: at most
+    # 0.12 of it, odd n (the middle node in the even block) included.  The
+    # folded pivots are the blocks' own, so pivot_min stays positive and
+    # never below lambda_min(M).
     cases = ((Sine(x=1.0), 5.0), (CubicSine(t=1.0, x=1.0), 2.0),
              (PII(x=1.0, field=PsiField(x=1.0, hm=hm)), 2.0))
     for spec, s in cases:
         for n in (33, 48, 49, 64, 65, 128):
             ev = log_det(spec, s, n)
-            want, lam_min = _unfolded_log_det(spec, s, n)
-            assert abs(ev.log_det - want) <= 2e-12 * abs(want)
+            want, lam_min, fold = _unfolded_log_det(spec, s, n)
+            assert abs(ev.log_det - want) <= fold
             assert 0.0 < lam_min <= ev.pivot_min * (1.0 + 1e-12)
-    # log det -5.1e-11, where the ladder's oracle test holds 1e-8 relative
+    # log det -5.1e-11: with M_ii on the binary64 grid, the diagonals
+    # M_ii +- M_i,-i of the two blocks round by equal and opposite amounts,
+    # which cancel in their product to first order (7e-28 at n = 32 against
+    # 40-digit determinants of M and of the blocks)
     spec = PII(x=-8.0, field=PsiField(x=-8.0, hm=hm))
     for n in (33, 48, 49, 64, 65, 128):
-        want, _ = _unfolded_log_det(spec, 0.5, n)
+        want, _, _ = _unfolded_log_det(spec, 0.5, n)
         assert abs(log_det(spec, 0.5, n).log_det - want) <= 1e-8 * abs(want)
 
 
@@ -304,24 +313,29 @@ def test_pii_ladders_left_of_x_minus_5_against_dop853_columns(hm, dop853_columns
     # matrix grows, so psi_det drifts from 1 (1.7e-9 at x = -7).  What that
     # costs a ladder is measured here at its own n, with DOP853 columns at
     # the non-negative nodes put into a fresh field's cache on the same
-    # profile: 6.6e-12 at (-4, 2.0), 1.6e-11 at (-6, 2.0), 4.7e-11 at
-    # (-8, 2.4), and 4.9e-25 at (-8, 0.5), where log det is -5.1e-11, hence
-    # a relative bound there.
-    errors, wants = {}, {}
+    # profile: 6.6e-12 at (-4, 2.0), 1.6e-11 at (-6, 2.0) and 4.7e-11 at
+    # (-8, 2.4).  At (-8, 0.5) log det is -5.1e-11 and M = I - O(1e-12), so
+    # to first order log det sums the logs of M's diagonal, which each side
+    # rounds to binary64 once, half an ulp of 2^-53 each: the two differ by
+    # up to n 2^-53 (7.1e-15 at n = 64) whatever their columns, in steps of
+    # 1.1e-16 (6.7e-16 measured; 2.2e-16 to 1.1e-15 on seven re-solves with
+    # the left boundary value moved by 5e-13 to 1e-11 relative).
+    errors, ns = {}, {}
     for x, s in ((-4.0, 2.0), (-6.0, 2.0), (-8.0, 2.4), (-8.0, 0.5)):
         ev = log_det_converged(PII(x=x, field=PsiField(x=x, hm=hm)), s)
         assert ev.converged
+        ns[x, s] = ev.n
         oracle = PsiField(x=x, hm=hm)
         lams = s * gauss_legendre(ev.n).nodes_f8[ev.n // 2:]
         psi11 = dop853_columns(oracle, lams)[0]
         oracle.cache.update(zip(lams.tolist(), psi11))
-        wants[x, s] = log_det(PII(x=x, field=oracle), s, ev.n).log_det
+        want = log_det(PII(x=x, field=oracle), s, ev.n).log_det
         assert len(oracle.cache) == ev.n // 2
-        errors[x, s] = abs(ev.log_det - wants[x, s])
+        errors[x, s] = abs(ev.log_det - want)
     assert errors[-4.0, 2.0] <= 1e-9
     assert errors[-6.0, 2.0] <= 1e-9
     assert errors[-8.0, 2.4] <= 1e-9
-    assert errors[-8.0, 0.5] <= 1e-8 * abs(wants[-8.0, 0.5])
+    assert errors[-8.0, 0.5] <= ns[-8.0, 0.5] * 2.0 ** -53
 
 
 def test_pii_ladder_eliminates_only_the_rungs_it_needs(hm, monkeypatch):

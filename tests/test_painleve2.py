@@ -1,6 +1,7 @@
 """The connection-problem boundary value solve and its integral functionals."""
 
 import dataclasses
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from scipy.integrate import quad
 
 import gapdet.painleve2
+from gapdet import PII, PsiField, log_det_converged, theorem1_prediction
 from gapdet.painleve2 import (
+    _LEFT_SERIES,
     NewtonDivergenceError,
     WrongBranchError,
     _interior_residual,
@@ -99,12 +102,48 @@ def test_tridiagonal_sweep_is_lapack_bit_for_bit(hm):
 def test_profile_is_pinned_across_the_window(hm):
     # u_at as computed by a Newton loop whose steps came from
     # scipy.linalg.solve_banded and whose Airy data came from
-    # scipy.special.airy; the sweep and the Bessel-K Airy replace both
-    pins = {-9.0: 2.1209579634146856, -5.0: 1.5794870878484542,
+    # scipy.special.airy; the sweep and the Bessel-K Airy replace both.
+    # The pins at -9 and -5 are those of a (-40, 8, 0.002) solve, whose
+    # left boundary lies far away.  The default window's left value misses
+    # by about the series' first omitted term, 6.9e-11 at x = -10, and
+    # linearised about sqrt(-x/2) an error there decays as
+    # exp(-int sqrt(-2x) dx), by 0.013 at x = -9: 1.0e-12 measured there,
+    # hence 2e-12.
+    pins = {-9.0: 2.120954268466329, -5.0: 1.579487087847008,
             0.0: 0.36706155154807135, 4.0: 0.0009515638989305485,
             7.5: 1.9172560675017937e-07}
     for x, want in pins.items():
-        assert abs(hm.u_at(x) - want) <= 1e-12, x
+        assert abs(hm.u_at(x) - want) <= (2e-12 if x == -9.0 else 1e-12), x
+
+
+def test_left_series_coefficients_follow_from_the_equation():
+    # With y = -x and u = sqrt(y/2) sum_k d_k y^(-3k), d_0 = 1, the equation
+    # u'' = x u + 2 u^3 gives order by order
+    #   2 d_m = (9 (m-1)^2 - 1/4) d_(m-1) - sum d_i d_j d_l
+    # over i + j + l = m with all three below m, and c_k = (-1)^k d_k
+    d = [Fraction(1)]
+    for m in range(1, 6):
+        cubic = sum(d[i] * d[j] * d[m - i - j] for i in range(m) for j in range(m)
+                    if 0 < i + j <= m)
+        d.append(((9 * (m - 1) ** 2 - Fraction(1, 4)) * d[m - 1] - cubic) / 2)
+    c = [(-1) ** k * dk for k, dk in enumerate(d)]
+    assert tuple(c[1:5]) == _LEFT_SERIES
+    assert c[5] == Fraction(8045883943, 262144)     # the first term left out
+
+
+def test_the_window_is_the_domain(hm):
+    # The left value from the series leaves no boundary layer at the
+    # window's edges.  Against solves whose edges lie far away, same h:
+    # u(-10) is off by 7.8e-11 (2.8e-4 with the leading term alone),
+    # tw_integral by 1.8e-11 at -10 and 1.5e-27 at 8, and the PII log det
+    # at (x, s) = (-10, 2.4) by 5.9e-12 (2.1e-5 with the leading term).
+    wide, far = solve_hm(-40.0, 8.0, 0.002), solve_hm(-40.0, 16.0, 0.002)
+    assert abs(hm.u_at(-10.0) - wide.u_at(-10.0)) <= 1e-9
+    assert abs(tw_integral(hm, -10.0) - tw_integral(wide, -10.0)) <= 1e-10
+    assert abs(tw_integral(hm, 8.0) - tw_integral(far, 8.0)) <= 1e-20
+    ladders = [log_det_converged(PII(x=-10.0, field=PsiField(x=-10.0, hm=sol)), 2.4)
+               for sol in (hm, wide)]
+    assert abs(ladders[0].log_det - ladders[1].log_det) <= 1e-10
 
 
 def test_step_refinement_is_fourth_order():
@@ -254,16 +293,16 @@ def test_window_and_step_validation():
 
 
 def test_evaluation_outside_window_rejected(hm):
-    for bad in (-10.001, 8.001):
-        with pytest.raises(ValueError):
-            hm.u_at(bad)
-    with pytest.raises(ValueError):
-        tw_integral(hm, -9.001)
-    with pytest.raises(ValueError):
-        tw_integral(hm, 7.001)
-    # the inclusive edges still work
-    tw_integral(hm, -9.0)
-    tw_integral(hm, 7.0)
+    # everything read off the profile has the window as its domain, edges
+    # included, and refuses a point outside it with the solution's message
+    reads = (hm.u_at, hm.u_x_at, lambda x: v_at(hm, x), lambda x: tw_integral(hm, x),
+             lambda x: theorem1_prediction(2.0, x, hm))
+    for read in reads:
+        for bad in (-10.001, 8.001):
+            with pytest.raises(ValueError, match=r"outside the solved window \[-10.0, 8.0\]"):
+                read(bad)
+        read(-10.0)
+        read(8.0)
 
 
 def test_negated_start_converges_to_the_default_profile(hm, monkeypatch):

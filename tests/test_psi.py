@@ -346,6 +346,12 @@ def test_field_window_validation(hm, free_hm):
         PsiField(x=8.5, hm=hm)
     with pytest.raises(ValueError):
         PsiField(x=-10.5, hm=hm)
+    # the field's window check is the solution's own, message included
+    with pytest.raises(ValueError) as field_error:
+        PsiField(x=9.0, hm=hm)
+    with pytest.raises(ValueError) as hm_error:
+        hm.u_at(9.0)
+    assert str(field_error.value) == str(hm_error.value)
     # a non-finite x lies in no window, even the zero profile's [-10, 12.5]
     for x in (math.inf, -math.inf, float("nan")):
         with pytest.raises(ValueError, match="window"):
